@@ -4,7 +4,7 @@
 # leg (concurrent-cache stress + loopback advice-server suite under both
 # sanitizers), the SIMD-dispatch,
 # forced-modal-solver and execution-placement (pinned + no-NUMA fallback)
-# suite reruns, the clang-format check and the
+# suite reruns, the clang-format check, the perfbench self-test and the
 # bench-regression gate — each leg skipped (not failed) when
 # this machine lacks the tool it needs, so the script is useful on minimal
 # containers and full workstations alike.
@@ -212,6 +212,20 @@ if command -v clang-format >/dev/null 2>&1; then
 else
   skip "clang-format (not installed)"
 fi
+
+# ---- perfbench self-test ---------------------------------------------------
+# Mirrors the `perfbench-selftest` CI job: the end-to-end benchmark program is
+# its own CMake project over src/, so it is configured separately (Release),
+# built, and must pass --selftest.
+note "perfbench: Release build + --selftest"
+PERFBENCH_DIR="$BUILD_ROOT/perfbench"
+mkdir -p "$PERFBENCH_DIR"
+cmake -S "$ROOT/perfbench" -B "$PERFBENCH_DIR" "${GENERATOR_ARGS[@]}" \
+      "${LAUNCHER_ARGS[@]}" -DCMAKE_BUILD_TYPE=Release \
+      >"$PERFBENCH_DIR.configure.log" 2>&1 ||
+  { cat "$PERFBENCH_DIR.configure.log"; exit 1; }
+cmake --build "$PERFBENCH_DIR" -j "$JOBS" --target perfbench
+"$PERFBENCH_DIR/perfbench" --selftest
 
 # ---- bench regression gate -------------------------------------------------
 # Mirrors the `bench` CI job: both smoke benchmarks, gated together in one

@@ -654,9 +654,10 @@ int run(const CliOptions& options, std::ostream& out) {
         out << ", error bound " << setup.solver().error_bound_c() << " K";
     out << ")\n";
     out << "scheduler          : " << scheduler->name() << "\n";
+    // result.tasks holds the finished tasks only.
     out << "tasks finished     : " << result.tasks.size() << "/"
-        << (result.all_finished ? result.tasks.size() : std::size_t(-1))
-        << (result.all_finished ? "" : " (INCOMPLETE)") << "\n";
+        << tasks.size() << (result.all_finished ? "" : " (INCOMPLETE)")
+        << "\n";
     out << "makespan           : " << result.makespan_s * 1e3 << " ms\n";
     out << "avg response time  : " << result.average_response_time_s() * 1e3
         << " ms\n";

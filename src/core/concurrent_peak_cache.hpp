@@ -7,37 +7,16 @@
 #include <memory>
 #include <vector>
 
+#include "core/peak_cache.hpp"
+
 namespace hp::core {
 
-/// Thread-local staging buffer for ConcurrentPeakCache keys. Mirrors the
-/// key_begin()/key_push() idiom of PredictionCache, but lives with the
-/// caller (one per worker thread) because the concurrent cache itself holds
-/// no per-query mutable state.
-class CacheKey {
-public:
-    void clear() { words_.clear(); }
-    void push(std::uint64_t word) { words_.push_back(word); }
-    /// Appends the bit pattern of a double (quantised values only — see
-    /// quantise_power_w in peak_cache.hpp).
-    void push(double value) {
-        std::uint64_t bits;
-        std::memcpy(&bits, &value, sizeof bits);
-        words_.push_back(bits);
-    }
-    const std::uint64_t* data() const { return words_.data(); }
-    std::size_t size() const { return words_.size(); }
-    void reserve(std::size_t n) { words_.reserve(n); }
-
-private:
-    std::vector<std::uint64_t> words_;
-};
-
 /// Sharded, lock-free, lossy concurrent memo of scalar thermal predictions,
-/// keyed by an opaque sequence of 64-bit words (the same quantised keys
-/// PredictionCache uses, prefixed by the solver backend_signature so two
-/// backends never alias). Shared by every worker thread of the advice
-/// server; the single-threaded schedulers keep their private
-/// PredictionCache.
+/// keyed by a sequence of 64-bit words (a PeakKey, the same layout
+/// PredictionCache is keyed by: prefixed by the solver backend_signature so
+/// two backends never alias, hashed by key_hash). Shared by every worker
+/// thread of the advice server; the single-threaded schedulers keep their
+/// private PredictionCache.
 ///
 /// Correctness contract: the cache may only memoise values that are pure
 /// functions of the key. Under that contract every race below degrades to a
@@ -130,7 +109,7 @@ public:
             misses_.fetch_add(1, std::memory_order_relaxed);
             return false;
         }
-        const std::uint64_t h = hash(key, len);
+        const std::uint64_t h = key_hash(key, len);
         const std::uint64_t gen =
             generation_.load(std::memory_order_acquire) & kGenMask;
         const std::uint64_t tag = tag_of_hash(h);
@@ -195,7 +174,7 @@ public:
     /// and dropping is safe because the caller already computed the value.
     void insert(const std::uint64_t* key, std::size_t len, double value) {
         if (!enabled() || len == 0 || len > max_words_) return;
-        const std::uint64_t h = hash(key, len);
+        const std::uint64_t h = key_hash(key, len);
         const std::uint64_t gen =
             generation_.load(std::memory_order_acquire) & kGenMask;
         const std::uint64_t tag = tag_of_hash(h);
@@ -279,26 +258,6 @@ private:
         std::size_t p = 1;
         while (p < v) p <<= 1;
         return p;
-    }
-
-    static std::uint64_t hash(const std::uint64_t* key, std::size_t len) {
-        // FNV-1a over the words, then a murmur3 finalizer. The finalizer is
-        // load-bearing: FNV's multiply only carries bit differences upward,
-        // so two keys differing in the top bits of one word (e.g. only in a
-        // double's exponent, like a τ ladder) share every low hash bit —
-        // identical slot, shard and tag, and the entries evict each other.
-        // fmix64's shift-xor steps diffuse high bits back down.
-        std::uint64_t h = 1469598103934665603ull;
-        for (std::size_t i = 0; i < len; ++i) {
-            h ^= key[i];
-            h *= 1099511628211ull;
-        }
-        h ^= h >> 33;
-        h *= 0xff51afd7ed558ccdull;
-        h ^= h >> 33;
-        h *= 0xc4ceb9fe1a85ec53ull;
-        h ^= h >> 33;
-        return h;
     }
 
     /// Shard from the hash's top bits, in-shard base from its low bits, so

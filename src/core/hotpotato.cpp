@@ -1,7 +1,6 @@
 #include "core/hotpotato.hpp"
 
 #include <algorithm>
-#include <cstdint>
 #include <limits>
 #include <stdexcept>
 
@@ -25,16 +24,11 @@ std::optional<std::size_t> HotPotatoScheduler::Ring::first_free_slot() const {
 }
 
 HotPotatoScheduler::HotPotatoScheduler(HotPotatoParams params)
-    : params_(std::move(params)) {
-    if (params_.tau_ladder_s.empty())
-        throw std::invalid_argument("HotPotato: empty tau ladder");
-    if (!std::is_sorted(params_.tau_ladder_s.begin(),
-                        params_.tau_ladder_s.end()))
-        throw std::invalid_argument("HotPotato: tau ladder must be ascending");
+    : params_(std::move(params)),
+      ladder_(params_.tau_ladder_s, params_.samples_per_epoch) {
     // Ladder-sized scratch is fixed at construction; sizing it here keeps
     // the first prefetch_tau_ladder call allocation-free.
-    tau_batch_scratch_.resize(params_.tau_ladder_s.size());
-    peaks_batch_scratch_.resize(params_.tau_ladder_s.size());
+    peaks_batch_scratch_.resize(ladder_.size());
 }
 
 void HotPotatoScheduler::rebuild_rings(sim::SimContext& ctx) {
@@ -72,36 +66,29 @@ void HotPotatoScheduler::initialize(sim::SimContext& ctx) {
     displaced_.clear();
     sensor_fallback_ = false;
     // Start at the ladder rung closest to the requested initial τ.
-    tau_index_ = 0;
-    double best = kInfPeak;
-    for (std::size_t i = 0; i < params_.tau_ladder_s.size(); ++i) {
-        const double d = std::abs(params_.tau_ladder_s[i] -
-                                  params_.initial_rotation_interval_s);
-        if (d < best) {
-            best = d;
-            tau_index_ = i;
-        }
-    }
+    tau_index_ = ladder_.nearest(params_.initial_rotation_interval_s);
     rotation_on_ = true;
-    next_rotation_s_ = params_.tau_ladder_s[tau_index_];
+    next_rotation_s_ = ladder_[tau_index_];
     obs_ = ctx.observer();
+    obs::Counter* cache_hits = nullptr;
+    obs::Counter* cache_misses = nullptr;
     if (obs_) {
         obs_alg1_ = &obs_->counter("hotpotato.alg1_evals");
         obs_tau_changes_ = &obs_->counter("hotpotato.tau_changes");
-        obs_cache_hits_ = &obs_->counter("hotpotato.peak_cache_hits");
-        obs_cache_misses_ = &obs_->counter("hotpotato.peak_cache_misses");
+        cache_hits = &obs_->counter("hotpotato.peak_cache_hits");
+        cache_misses = &obs_->counter("hotpotato.peak_cache_misses");
         obs_batch_size_ = &obs_->histogram(
             "hotpotato.batch_size", {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0});
     }
+    peak_cache_.count_into(cache_hits, cache_misses);
     if (params_.use_peak_cache) {
-        // Keys: 1 backend word + 1 tag word + 1 size word per ring + 1
-        // power word per slot (rotation), or backend + tag + 1 power word
-        // per core (static).
-        peak_cache_.configure(
-            256, 3 + ctx.chip().core_count() + ctx.chip().rings().size());
+        peak_cache_.configure(256,
+                              PeakKey::max_words(ctx.chip().rings().size(),
+                                                 ctx.chip().core_count()));
     } else {
         peak_cache_.configure(0, 0);
     }
+    static_power_scratch_ = linalg::Vector(ctx.chip().core_count());
     ensure_analyzer(ctx);
 }
 
@@ -114,7 +101,7 @@ void HotPotatoScheduler::note_tau_change(sim::SimContext& ctx) {
 }
 
 double HotPotatoScheduler::rotation_interval_s() const {
-    return params_.tau_ladder_s[tau_index_];
+    return ladder_[tau_index_];
 }
 
 void HotPotatoScheduler::ensure_analyzer(sim::SimContext& ctx) {
@@ -163,84 +150,26 @@ const std::vector<RotationRingSpec>& HotPotatoScheduler::build_ring_specs(
     return spec_scratch_;
 }
 
-void HotPotatoScheduler::build_static_powers(sim::SimContext& ctx) const {
-    const double idle = analyzer_->idle_power_w();
-    const std::size_t n = ctx.chip().core_count();
-    if (static_power_scratch_.size() != n)
-        static_power_scratch_ = linalg::Vector(n);
-    for (std::size_t i = 0; i < n; ++i) static_power_scratch_[i] = idle;
-    for (const Ring& ring : rings_)
-        for (std::size_t j = 0; j < ring.slots.size(); ++j)
-            if (ring.slots[j] != sim::kNone)
-                static_power_scratch_[ring.cores[j]] =
-                    slot_power(ctx, ring.slots[j]);
-}
-
-void HotPotatoScheduler::stage_static_key(const double* powers,
-                                          std::size_t count) const {
-    peak_cache_.key_begin();
-    peak_cache_.key_push(backend_sig_);
-    peak_cache_.key_push(std::uint64_t{0});  // tag: static prediction
-    for (std::size_t i = 0; i < count; ++i) peak_cache_.key_push(powers[i]);
-}
-
-void HotPotatoScheduler::stage_rotation_key(std::size_t tau_index) const {
-    // Assumes spec_scratch_ is current (build_ring_specs ran this query).
-    peak_cache_.key_begin();
-    peak_cache_.key_push(backend_sig_);
-    peak_cache_.key_push((std::uint64_t{1} << 63) |
-                         (static_cast<std::uint64_t>(params_.samples_per_epoch)
-                          << 32) |
-                         static_cast<std::uint64_t>(tau_index));
-    for (const RotationRingSpec& spec : spec_scratch_) {
-        peak_cache_.key_push(
-            static_cast<std::uint64_t>(spec.slot_power_w.size()));
-        for (double p : spec.slot_power_w) peak_cache_.key_push(p);
-    }
-}
-
-const double* HotPotatoScheduler::cache_lookup() const {
-    const double* hit = peak_cache_.lookup();
-    if (hit) {
-        if (obs_cache_hits_) obs_cache_hits_->add();
-    } else if (obs_cache_misses_) {
-        obs_cache_misses_->add();
-    }
-    return hit;
-}
-
-void HotPotatoScheduler::cache_insert(double peak) const {
-    peak_cache_.insert(peak);
-}
-
 double HotPotatoScheduler::predict_peak_with(sim::SimContext& ctx,
                                              bool rotation_on,
                                              std::size_t tau_index) const {
     if (obs_alg1_) obs_alg1_->add();
     obs::ScopedPhase timer(obs_, obs::Phase::kPeakAnalysis);
     if (obs_batch_size_) obs_batch_size_->observe(1.0);
-    if (!rotation_on) {
-        build_static_powers(ctx);
-        if (peak_cache_.enabled()) {
-            stage_static_key(static_power_scratch_.data(),
-                             static_power_scratch_.size());
-            if (const double* hit = cache_lookup()) return *hit;
-        }
-        const double peak =
-            analyzer_->static_peak(static_power_scratch_, *peak_ws_);
-        cache_insert(peak);
-        return peak;
-    }
     build_ring_specs(ctx);
-    if (peak_cache_.enabled()) {
-        stage_rotation_key(tau_index);
-        if (const double* hit = cache_lookup()) return *hit;
-    }
-    const double peak =
-        analyzer_->rotation_peak(spec_scratch_, params_.tau_ladder_s[tau_index],
-                                 params_.samples_per_epoch, *peak_ws_);
-    cache_insert(peak);
-    return peak;
+    if (peak_cache_.enabled())
+        key_.assign(backend_sig_, rotation_on, ladder_[tau_index],
+                    ladder_.samples_per_epoch(), spec_scratch_);
+    return memoised_peak(&peak_cache_, key_, [&] {
+        if (rotation_on)
+            return analyzer_->rotation_peak(spec_scratch_, ladder_[tau_index],
+                                            ladder_.samples_per_epoch(),
+                                            *peak_ws_);
+        scatter_static_power(spec_scratch_, analyzer_->idle_power_w(),
+                             static_power_scratch_.data(),
+                             static_power_scratch_.size());
+        return analyzer_->static_peak(static_power_scratch_, *peak_ws_);
+    });
 }
 
 void HotPotatoScheduler::prefetch_tau_ladder(sim::SimContext& ctx,
@@ -250,16 +179,14 @@ void HotPotatoScheduler::prefetch_tau_ladder(sim::SimContext& ctx,
     obs::ScopedPhase timer(obs_, obs::Phase::kPeakAnalysis);
     if (obs_batch_size_) obs_batch_size_->observe(static_cast<double>(count));
     build_ring_specs(ctx);
-    if (tau_batch_scratch_.size() < count) tau_batch_scratch_.resize(count);
     if (peaks_batch_scratch_.size() < count) peaks_batch_scratch_.resize(count);
-    for (std::size_t t = 0; t < count; ++t)
-        tau_batch_scratch_[t] = params_.tau_ladder_s[t];
-    analyzer_->rotation_peak_tau_batch(spec_scratch_, tau_batch_scratch_.data(),
-                                       count, params_.samples_per_epoch,
+    analyzer_->rotation_peak_tau_batch(spec_scratch_, ladder_.rungs().data(),
+                                       count, ladder_.samples_per_epoch(),
                                        *peak_ws_, peaks_batch_scratch_.data());
     for (std::size_t t = 0; t < count; ++t) {
-        stage_rotation_key(t);
-        peak_cache_.insert(peaks_batch_scratch_[t]);
+        key_.assign(backend_sig_, true, ladder_[t],
+                    ladder_.samples_per_epoch(), spec_scratch_);
+        peak_cache_.insert(key_.data(), key_.size(), peaks_batch_scratch_[t]);
     }
 }
 
@@ -307,53 +234,44 @@ std::optional<std::size_t> HotPotatoScheduler::best_static_slot(
     obs::ScopedPhase timer(obs_, obs::Phase::kPeakAnalysis);
     if (obs_batch_size_) obs_batch_size_->observe(static_cast<double>(count));
 
-    // Candidate power vectors: the thread tentatively in each free slot —
-    // exactly the vectors the historical per-slot loop evaluated one by one.
-    if (slate_powers_.size() < count * n) slate_powers_.resize(count * n);
+    // Candidates: the thread tentatively in each free slot — exactly the
+    // power vectors the historical per-slot loop evaluated one by one. Cache
+    // hits are filled directly; the misses' power vectors (and keys) are
+    // staged and run as one batched steady-state slate (bit-identical per
+    // candidate to a fresh static_peak, so cache on/off cannot change the
+    // argmin).
     if (slate_peaks_.size() < count) slate_peaks_.resize(count);
+    if (slate_keys_.size() < count) slate_keys_.resize(count);
+    if (slate_miss_powers_.size() < count * n)
+        slate_miss_powers_.resize(count * n);
+    slate_miss_.clear();
     for (std::size_t c = 0; c < count; ++c) {
         const std::size_t j = slate_slots_[c];
         ring.slots[j] = id;
-        build_static_powers(ctx);
+        build_ring_specs(ctx);
         ring.slots[j] = sim::kNone;
-        double* row = slate_powers_.data() + c * n;
-        for (std::size_t i = 0; i < n; ++i) row[i] = static_power_scratch_[i];
-    }
-
-    // Cache hits are filled directly; the misses run as one batched
-    // steady-state slate (bit-identical per candidate to a fresh
-    // static_peak, so cache on/off cannot change the argmin).
-    slate_miss_.clear();
-    for (std::size_t c = 0; c < count; ++c) {
+        PeakKey& key = slate_keys_[slate_miss_.size()];
         if (peak_cache_.enabled()) {
-            stage_static_key(slate_powers_.data() + c * n, n);
-            if (const double* hit = cache_lookup()) {
-                slate_peaks_[c] = *hit;
+            key.assign(backend_sig_, false, 0.0, 0, spec_scratch_);
+            if (peak_cache_.lookup(key.data(), key.size(), &slate_peaks_[c]))
                 continue;
-            }
         }
+        scatter_static_power(spec_scratch_, analyzer_->idle_power_w(),
+                             slate_miss_powers_.data() + slate_miss_.size() * n,
+                             n);
         slate_miss_.push_back(c);
     }
     if (!slate_miss_.empty()) {
-        if (slate_miss_powers_.size() < slate_miss_.size() * n)
-            slate_miss_powers_.resize(slate_miss_.size() * n);
-        for (std::size_t m = 0; m < slate_miss_.size(); ++m) {
-            const double* src = slate_powers_.data() + slate_miss_[m] * n;
-            double* dst = slate_miss_powers_.data() + m * n;
-            for (std::size_t i = 0; i < n; ++i) dst[i] = src[i];
-        }
         if (peaks_batch_scratch_.size() < slate_miss_.size())
             peaks_batch_scratch_.resize(slate_miss_.size());
         analyzer_->static_peak_batch(slate_miss_powers_.data(),
                                      slate_miss_.size(), *peak_ws_,
                                      peaks_batch_scratch_.data());
         for (std::size_t m = 0; m < slate_miss_.size(); ++m) {
-            const std::size_t c = slate_miss_[m];
-            slate_peaks_[c] = peaks_batch_scratch_[m];
-            if (peak_cache_.enabled()) {
-                stage_static_key(slate_powers_.data() + c * n, n);
-                peak_cache_.insert(slate_peaks_[c]);
-            }
+            slate_peaks_[slate_miss_[m]] = peaks_batch_scratch_[m];
+            if (peak_cache_.enabled())
+                peak_cache_.insert(slate_keys_[m].data(), slate_keys_[m].size(),
+                                   peaks_batch_scratch_[m]);
         }
     }
 
@@ -529,26 +447,28 @@ void HotPotatoScheduler::restore_safety(sim::SimContext& ctx) {
         peak = predict_peak(ctx);
     }
 
-    // Lines 12-14: speed the rotation until headroom appears. The rungs the
-    // walk can visit are evaluated as one shared-target batch first, so the
-    // per-rung queries below become cache hits (bit-identical values; with
-    // the cache off the walk simply evaluates each rung itself).
-    if (peak >= limit && peak_cache_.enabled()) {
-        prefetch_tau_ladder(
-            ctx, rotation_on_ ? tau_index_ : params_.tau_ladder_s.size());
-    }
-    while (peak >= limit) {
-        if (!rotation_on_) {
-            rotation_on_ = true;
-            tau_index_ = params_.tau_ladder_s.size() - 1;
-            next_rotation_s_ = ctx.now() + rotation_interval_s();
-        } else if (tau_index_ > 0) {
-            --tau_index_;
-        } else {
-            break;  // fastest rotation already; DTM is the backstop
-        }
-        note_tau_change(ctx);
-        peak = predict_peak(ctx);
+    // Lines 12-14: speed the rotation until headroom appears — switching it
+    // on at the top rung if it was off — stepping to (and announcing) every
+    // rung the walk probes. At the fastest rung DTM is the backstop. The
+    // rungs the walk can visit are evaluated as one shared-target batch
+    // first, so the per-rung queries become cache hits (bit-identical
+    // values; with the cache off each rung is evaluated by itself).
+    if (peak >= limit && (!rotation_on_ || tau_index_ > 0)) {
+        const std::size_t start = rotation_on_ ? tau_index_ - 1 : ladder_.top();
+        prefetch_tau_ladder(ctx, start + 1);
+        const auto step_to = [&](bool, std::size_t rung) {
+            if (!rotation_on_) {
+                rotation_on_ = true;
+                next_rotation_s_ = ctx.now() + ladder_[rung];
+            }
+            tau_index_ = rung;
+            note_tau_change(ctx);
+            return predict_peak(ctx);
+        };
+        peak = ladder_
+                   .descend(start, step_to,
+                            [limit](double p) { return !(p >= limit); })
+                   .peak_c;
     }
     last_predicted_peak_c_ = peak;
     max_predicted_peak_c_ = std::max(max_predicted_peak_c_, peak);
@@ -610,24 +530,20 @@ void HotPotatoScheduler::exploit_headroom(sim::SimContext& ctx) {
 
     // Lines 23-27: slow the rotation (and eventually stop it) while the
     // schedule remains safe — fewer migrations, better performance.
-    while (t_dtm - peak > delta) {
-        if (!rotation_on_) break;
-        const bool at_top = tau_index_ + 1 >= params_.tau_ladder_s.size();
-        const double new_peak =
-            at_top ? predict_peak_with(ctx, false, tau_index_)
-                   : predict_peak_with(ctx, true, tau_index_ + 1);
-        if (new_peak < t_dtm - delta) {
-            if (at_top) {
-                rotation_on_ = false;
-            } else {
-                ++tau_index_;
-            }
-            note_tau_change(ctx);
-            peak = new_peak;
-        } else {
-            break;
-        }
-    }
+    const auto commit = [&](const RotationSetting& next) {
+        if (!(next.peak_c < t_dtm - delta)) return false;
+        rotation_on_ = next.rotation_on;
+        tau_index_ = next.rung;
+        note_tau_change(ctx);
+        return true;
+    };
+    peak = ladder_
+               .relax({rotation_on_, tau_index_, peak},
+                      [&](bool on, std::size_t rung) {
+                          return predict_peak_with(ctx, on, rung);
+                      },
+                      [&](double p) { return t_dtm - p > delta; }, commit)
+               .peak_c;
     last_predicted_peak_c_ = peak;
     max_predicted_peak_c_ = std::max(max_predicted_peak_c_, peak);
 }

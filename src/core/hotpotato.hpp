@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "core/peak_cache.hpp"
+#include "core/certify.hpp"
 #include "core/peak_temperature.hpp"
 #include "obs/recorder.hpp"
 #include "sim/scheduler.hpp"
@@ -34,11 +34,10 @@ struct HotPotatoParams {
     /// the fallback only surrenders the "always at peak frequency" property
     /// until sensing recovers.
     double sensor_fallback_freq_fraction = 0.75;
-    /// Memoise Algorithm-1 peak predictions keyed by (assignment, quantised
-    /// powers, τ rung). Inputs are quantised whether or not the cache is on,
-    /// so flipping this switch changes only evaluation counts, never any
-    /// scheduling decision or simulated temperature (--no-peak-cache exposes
-    /// it on the CLI).
+    /// Memoise Algorithm-1 peak predictions under their PeakKey. Inputs are
+    /// quantised whether or not the cache is on, so flipping this switch
+    /// changes only evaluation counts, never any scheduling decision or
+    /// simulated temperature (--no-peak-cache exposes it on the CLI).
     bool use_peak_cache = true;
 };
 
@@ -130,12 +129,10 @@ private:
     /// allocation-free.
     const std::vector<RotationRingSpec>& build_ring_specs(
         sim::SimContext& ctx) const;
-    /// Predicted peak with an explicit rotation setting.
+    /// Predicted peak with an explicit rotation setting (memoised under the
+    /// PeakKey of the current ring specs).
     double predict_peak_with(sim::SimContext& ctx, bool rotation_on,
                              std::size_t tau_index) const;
-    /// Fills static_power_scratch_ with the current assignment's quantised
-    /// per-core powers (idle everywhere a slot is empty).
-    void build_static_powers(sim::SimContext& ctx) const;
     /// Batch-evaluates rotation_peak at ladder rungs [0, count) in one
     /// shared-target pass and seeds the prediction cache, so the
     /// restore_safety speed-up walk hits instead of re-evaluating. Values
@@ -148,11 +145,6 @@ private:
     std::optional<std::size_t> best_static_slot(sim::SimContext& ctx,
                                                 std::size_t ring_index,
                                                 sim::ThreadId id);
-    // Prediction-cache key staging and counter-mirroring helpers.
-    void stage_static_key(const double* powers, std::size_t count) const;
-    void stage_rotation_key(std::size_t tau_index) const;
-    const double* cache_lookup() const;
-    void cache_insert(double peak) const;
     /// Algorithm 2 lines 1-14 for a single thread. Returns false only when
     /// no ring has a free slot at all.
     bool place_thread(sim::SimContext& ctx, sim::ThreadId id);
@@ -174,6 +166,7 @@ private:
         sim::ThreadId id) const;
 
     HotPotatoParams params_;
+    TauLadder ladder_;  ///< params_.tau_ladder_s, validated
     std::unique_ptr<PeakTemperatureAnalyzer> analyzer_;
     /// Backend identity word folded into every prediction-cache key, so a
     /// cache survives backend/tolerance changes without aliasing entries.
@@ -200,15 +193,13 @@ private:
     // Prediction cache + batch scratch (all grow-only, so the warmed hot
     // path stays allocation-free; mutable for the same reason as peak_ws_).
     mutable PredictionCache<double> peak_cache_;
-    mutable obs::Counter* obs_cache_hits_ = nullptr;
-    mutable obs::Counter* obs_cache_misses_ = nullptr;
+    mutable PeakKey key_;
     mutable obs::Histogram* obs_batch_size_ = nullptr;
-    mutable std::vector<double> tau_batch_scratch_;
     mutable std::vector<double> peaks_batch_scratch_;
     std::vector<std::size_t> slate_slots_;   ///< free-slot candidates
-    std::vector<double> slate_powers_;       ///< RHS-major candidate powers
-    std::vector<double> slate_miss_powers_;  ///< compacted cache misses
+    std::vector<double> slate_miss_powers_;  ///< RHS-major cache misses
     std::vector<double> slate_peaks_;
+    std::vector<PeakKey> slate_keys_;        ///< keys of the misses
     std::vector<std::size_t> slate_miss_;
     std::vector<sim::ThreadId> shift_scratch_;  ///< on_step slot rotation
     bool sensor_fallback_ = false;

@@ -173,34 +173,6 @@ std::vector<linalg::Vector> PeakTemperatureAnalyzer::boundary_temperatures(
     return out;
 }
 
-void PeakTemperatureAnalyzer::periodic_response_max_into(
-    const linalg::Vector* node_power_per_epoch, std::size_t delta, double tau,
-    std::size_t samples_per_epoch, PeakWorkspace& ws,
-    linalg::Vector& core_max) const {
-    if (delta == 0 || tau <= 0.0 || samples_per_epoch == 0)
-        throw std::invalid_argument("periodic_response_max: bad arguments");
-    build_modal_targets(node_power_per_epoch, delta, ws);
-    evaluate_periodic_max(delta, tau, samples_per_epoch, ws, core_max);
-}
-
-void PeakTemperatureAnalyzer::reserve_sample_batch(
-    const std::vector<RotationRingSpec>& rings, std::size_t samples_per_epoch,
-    PeakWorkspace& ws) const {
-    // Grow the staging/projection buffers once for the largest ring of the
-    // query instead of once per distinct ring size inside
-    // evaluate_periodic_max — rings are visited smallest-first, so growing
-    // lazily would reallocate on every size step of the first query.
-    std::size_t max_delta = 0;
-    for (const RotationRingSpec& ring : rings)
-        max_delta = std::max(max_delta, ring.cores.size());
-    const std::size_t nsamp = max_delta * samples_per_epoch;
-    const std::size_t cores = solver_->model().core_count();
-    if (ws.zs_batch_.size() < nsamp * modes_)
-        ws.zs_batch_.resize(nsamp * modes_);
-    if (ws.resp_batch_.size() < nsamp * cores)
-        ws.resp_batch_.resize(nsamp * cores);
-}
-
 void PeakTemperatureAnalyzer::build_modal_targets(
     const linalg::Vector* node_power_per_epoch, std::size_t delta,
     PeakWorkspace& ws) const {
@@ -396,12 +368,14 @@ double PeakTemperatureAnalyzer::schedule_peak(
     std::size_t samples_per_epoch, PeakWorkspace& workspace) const {
     const thermal::ThermalModel& model = solver_->model();
     const std::size_t delta = core_power_per_epoch.size();
+    if (delta == 0 || tau <= 0.0 || samples_per_epoch == 0)
+        throw std::invalid_argument("schedule_peak: bad arguments");
     ensure_list(workspace.deltas_, delta, model.node_count(), /*zero=*/false, workspace.resource());
     for (std::size_t f = 0; f < delta; ++f)
         model.pad_power_into(core_power_per_epoch[f], workspace.deltas_[f]);
-    periodic_response_max_into(workspace.deltas_.data(), delta, tau,
-                               samples_per_epoch, workspace,
-                               workspace.core_max_);
+    build_modal_targets(workspace.deltas_.data(), delta, workspace);
+    evaluate_periodic_max(delta, tau, samples_per_epoch, workspace,
+                          workspace.core_max_);
     double peak = -1e300;
     for (std::size_t i = 0; i < model.core_count(); ++i)
         peak = std::max(peak, ambient_offset_[i] + workspace.core_max_[i]);
@@ -463,8 +437,10 @@ double PeakTemperatureAnalyzer::rotation_peak_map(
 double PeakTemperatureAnalyzer::rotation_peak(
     const std::vector<RotationRingSpec>& rings, double tau,
     std::size_t samples_per_epoch, PeakWorkspace& workspace) const {
-    workspace.tau_.assign(rings.size(), tau);
-    return rotation_peak(rings, workspace.tau_, samples_per_epoch, workspace);
+    ensure_size(workspace.extra_, solver_->model().core_count());
+    ring_responses(rings, &tau, /*ring_stride=*/0, /*tau_count=*/1,
+                   samples_per_epoch, workspace, workspace.extra_.data());
+    return max_with_baseline(workspace, workspace.extra_.data());
 }
 
 double PeakTemperatureAnalyzer::rotation_peak(
@@ -482,11 +458,37 @@ double PeakTemperatureAnalyzer::rotation_peak(
     if (tau_per_ring.size() != rings.size())
         throw std::invalid_argument(
             "rotation_peak: one tau per ring required");
+    ensure_size(workspace.extra_, solver_->model().core_count());
+    ring_responses(rings, tau_per_ring.data(), /*ring_stride=*/1,
+                   /*tau_count=*/1, samples_per_epoch, workspace,
+                   workspace.extra_.data());
+    return max_with_baseline(workspace, workspace.extra_.data());
+}
+
+void PeakTemperatureAnalyzer::rotation_peak_tau_batch(
+    const std::vector<RotationRingSpec>& rings, const double* taus,
+    std::size_t tau_count, std::size_t samples_per_epoch,
+    PeakWorkspace& workspace, double* peaks) const {
+    if (tau_count == 0) return;
+    const std::size_t n = solver_->model().core_count();
+    std::pmr::vector<double>& extra = workspace.extra_batch_;
+    if (extra.size() < tau_count * n) extra.resize(tau_count * n);
+    ring_responses(rings, taus, /*ring_stride=*/0, tau_count,
+                   samples_per_epoch, workspace, extra.data());
+    for (std::size_t t = 0; t < tau_count; ++t)
+        peaks[t] = max_with_baseline(workspace, extra.data() + t * n);
+}
+
+void PeakTemperatureAnalyzer::ring_responses(
+    const std::vector<RotationRingSpec>& rings, const double* taus,
+    std::size_t ring_stride, std::size_t tau_count,
+    std::size_t samples_per_epoch, PeakWorkspace& workspace,
+    double* extra) const {
     const thermal::ThermalModel& model = solver_->model();
     const std::size_t n = model.core_count();
     const std::size_t big_n = model.node_count();
 
-    // All-idle baseline.
+    // All-idle baseline — shared by every τ.
     ensure_size(workspace.core_power_, n);
     for (std::size_t i = 0; i < n; ++i)
         workspace.core_power_[i] = idle_power_w_;
@@ -494,9 +496,17 @@ double PeakTemperatureAnalyzer::rotation_peak(
     solver_->steady_state_into(workspace.node_power_, ambient_c_,
                                workspace.thermal_, workspace.t_idle_);
 
-    ensure_size(workspace.extra_, n);
-    for (std::size_t i = 0; i < n; ++i) workspace.extra_[i] = 0.0;
-    reserve_sample_batch(rings, samples_per_epoch, workspace);
+    for (std::size_t i = 0; i < tau_count * n; ++i) extra[i] = 0.0;
+    // Grow the sample staging/projection buffers once for the largest ring:
+    // rings are visited smallest-first, so growing lazily inside
+    // evaluate_periodic_max would reallocate on every size step.
+    std::size_t nsamp = 0;
+    for (const RotationRingSpec& ring : rings)
+        nsamp = std::max(nsamp, ring.cores.size() * samples_per_epoch);
+    if (workspace.zs_batch_.size() < nsamp * modes_)
+        workspace.zs_batch_.resize(nsamp * modes_);
+    if (workspace.resp_batch_.size() < nsamp * n)
+        workspace.resp_batch_.resize(nsamp * n);
     for (std::size_t r = 0; r < rings.size(); ++r) {
         const RotationRingSpec& ring = rings[r];
         const std::size_t k = ring.cores.size();
@@ -511,64 +521,9 @@ double PeakTemperatureAnalyzer::rotation_peak(
 
         // Per-epoch power deltas: at epoch f the occupant of initial slot j
         // sits on cores[(j + f) mod k]. The delta buffers are zeroed because
-        // only the ring's cores are written.
-        ensure_list(workspace.deltas_, k, big_n, /*zero=*/true, workspace.resource());
-        for (std::size_t f = 0; f < k; ++f)
-            for (std::size_t pos = 0; pos < k; ++pos) {
-                const std::size_t slot = (pos + k - (f % k)) % k;
-                workspace.deltas_[f][ring.cores[pos]] =
-                    ring.slot_power_w[slot] - idle_power_w_;
-            }
-        periodic_response_max_into(workspace.deltas_.data(), k,
-                                   tau_per_ring[r], samples_per_epoch,
-                                   workspace, workspace.core_max_);
-        for (std::size_t i = 0; i < n; ++i)
-            workspace.extra_[i] += workspace.core_max_[i];
-    }
-
-    double peak = -1e300;
-    for (std::size_t i = 0; i < n; ++i)
-        peak = std::max(peak, workspace.t_idle_[i] + workspace.extra_[i]);
-    return peak;
-}
-
-void PeakTemperatureAnalyzer::rotation_peak_tau_batch(
-    const std::vector<RotationRingSpec>& rings, const double* taus,
-    std::size_t tau_count, std::size_t samples_per_epoch,
-    PeakWorkspace& workspace, double* peaks) const {
-    if (tau_count == 0) return;
-    const thermal::ThermalModel& model = solver_->model();
-    const std::size_t n = model.core_count();
-    const std::size_t big_n = model.node_count();
-
-    // All-idle baseline — shared by every τ rung.
-    ensure_size(workspace.core_power_, n);
-    for (std::size_t i = 0; i < n; ++i)
-        workspace.core_power_[i] = idle_power_w_;
-    model.pad_power_into(workspace.core_power_, workspace.node_power_);
-    solver_->steady_state_into(workspace.node_power_, ambient_c_,
-                               workspace.thermal_, workspace.t_idle_);
-
-    std::pmr::vector<double>& extra = workspace.extra_batch_;
-    if (extra.size() < tau_count * n) extra.resize(tau_count * n);
-    for (std::size_t i = 0; i < tau_count * n; ++i) extra[i] = 0.0;
-    reserve_sample_batch(rings, samples_per_epoch, workspace);
-
-    for (std::size_t r = 0; r < rings.size(); ++r) {
-        const RotationRingSpec& ring = rings[r];
-        const std::size_t k = ring.cores.size();
-        if (ring.slot_power_w.size() != k)
-            throw std::invalid_argument(
-                "rotation_peak: ring slot/core size mismatch");
-        if (k == 0) continue;
-        bool any_delta = false;
-        for (double p : ring.slot_power_w)
-            if (std::abs(p - idle_power_w_) > 1e-12) any_delta = true;
-        if (!any_delta) continue;
-
-        // The per-epoch power deltas and their modal targets y_f = β·P_f are
-        // τ-independent: build them once per ring, then re-run only the
-        // geometric-series evaluation at each rung.
+        // only the ring's cores are written. They and their modal targets
+        // y_f = β·P_f are τ-independent: built once per ring, then only the
+        // geometric-series evaluation runs per τ.
         ensure_list(workspace.deltas_, k, big_n, /*zero=*/true, workspace.resource());
         for (std::size_t f = 0; f < k; ++f)
             for (std::size_t pos = 0; pos < k; ++pos) {
@@ -578,21 +533,24 @@ void PeakTemperatureAnalyzer::rotation_peak_tau_batch(
             }
         build_modal_targets(workspace.deltas_.data(), k, workspace);
         for (std::size_t t = 0; t < tau_count; ++t) {
-            evaluate_periodic_max(k, taus[t], samples_per_epoch, workspace,
+            const double tau = taus[r * ring_stride + t];
+            if (tau <= 0.0 || samples_per_epoch == 0)
+                throw std::invalid_argument("rotation_peak: bad arguments");
+            evaluate_periodic_max(k, tau, samples_per_epoch, workspace,
                                   workspace.core_max_);
-            double* extra_t = extra.data() + t * n;
+            double* extra_t = extra + t * n;
             for (std::size_t i = 0; i < n; ++i)
                 extra_t[i] += workspace.core_max_[i];
         }
     }
+}
 
-    for (std::size_t t = 0; t < tau_count; ++t) {
-        const double* extra_t = extra.data() + t * n;
-        double peak = -1e300;
-        for (std::size_t i = 0; i < n; ++i)
-            peak = std::max(peak, workspace.t_idle_[i] + extra_t[i]);
-        peaks[t] = peak;
-    }
+double PeakTemperatureAnalyzer::max_with_baseline(
+    const PeakWorkspace& workspace, const double* extra) const {
+    double peak = -1e300;
+    for (std::size_t i = 0; i < solver_->model().core_count(); ++i)
+        peak = std::max(peak, workspace.t_idle_[i] + extra[i]);
+    return peak;
 }
 
 void PeakTemperatureAnalyzer::static_peak_batch(const double* core_powers,

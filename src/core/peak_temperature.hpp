@@ -68,7 +68,6 @@ private:
     std::vector<linalg::Vector> z_;         ///< periodic boundary solution
     std::vector<linalg::Vector> eks_frac_;  ///< intra-epoch decay factors
     std::vector<linalg::Vector> deltas_;    ///< per-epoch node power deltas
-    std::vector<double> tau_;               ///< broadcast per-ring τ
     linalg::Vector coeff_;                  ///< (1-e^{λτ})/(1-e^{λδτ})
     std::pmr::vector<double> zs_batch_;     ///< RHS-major modal samples
     std::pmr::vector<double> resp_batch_;   ///< RHS-major projected responses
@@ -245,27 +244,25 @@ public:
                            PeakWorkspace& workspace, double* peaks) const;
 
 private:
-    /// The allocation-free core of Algorithm 1's run-time phase: consumes
-    /// @p delta node-power vectors starting at @p node_power_per_epoch and
-    /// writes the per-core response maxima into @p core_max (resized on
-    /// first use). All intermediates live in @p workspace.
-    void periodic_response_max_into(const linalg::Vector* node_power_per_epoch,
-                                    std::size_t delta, double tau,
-                                    std::size_t samples_per_epoch,
-                                    PeakWorkspace& workspace,
-                                    linalg::Vector& core_max) const;
+    /// The ring loop behind every rotation query: the all-idle baseline
+    /// into workspace.t_idle_, then each ring's periodic response maxima at
+    /// @p tau_count rotation intervals summed into @p extra (RHS-major,
+    /// tau_count × core_count(), overwritten). Ring r at slot t rotates every
+    /// taus[r·ring_stride + t] seconds: stride 1 with one τ is the per-ring
+    /// query, stride 0 a shared τ (one) or τ batch (many).
+    void ring_responses(const std::vector<RotationRingSpec>& rings,
+                        const double* taus, std::size_t ring_stride,
+                        std::size_t tau_count, std::size_t samples_per_epoch,
+                        PeakWorkspace& workspace, double* extra) const;
 
-    /// Pre-grows the RHS-major sample staging/projection buffers to the
-    /// largest ring of a query, so evaluate_periodic_max never reallocates
-    /// mid-query (one growth per workspace instead of one per ring size).
-    void reserve_sample_batch(const std::vector<RotationRingSpec>& rings,
-                              std::size_t samples_per_epoch,
-                              PeakWorkspace& workspace) const;
+    /// max over cores of workspace.t_idle_ + @p extra.
+    double max_with_baseline(const PeakWorkspace& workspace,
+                             const double* extra) const;
 
-    /// τ-independent half of periodic_response_max_into: fills workspace.y_
+    /// τ-independent half of a periodic response: fills workspace.y_
     /// with the modal epoch targets y_f = β·P_f. Splitting this out lets
-    /// rotation_peak_tau_batch evaluate one ring at many rotation intervals
-    /// without redoing the (dominant) β projections.
+    /// ring_responses evaluate one ring at many rotation intervals without
+    /// redoing the (dominant) β projections.
     void build_modal_targets(const linalg::Vector* node_power_per_epoch,
                              std::size_t delta, PeakWorkspace& workspace) const;
 

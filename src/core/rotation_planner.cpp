@@ -1,7 +1,6 @@
 #include "core/rotation_planner.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace hp::core {
@@ -13,47 +12,33 @@ RotationPlanner::RotationPlanner(
     : chip_(&chip),
       perf_(&perf_model),
       analyzer_(&analyzer),
-      tau_ladder_s_(std::move(tau_ladder_s)) {
-    if (tau_ladder_s_.empty() ||
-        !std::is_sorted(tau_ladder_s_.begin(), tau_ladder_s_.end()))
-        throw std::invalid_argument(
-            "RotationPlanner: tau ladder must be non-empty and ascending");
-}
+      // The analyzer's default intra-epoch sampling.
+      ladder_(std::move(tau_ladder_s), 2) {}
 
-std::vector<RotationRingSpec> RotationPlanner::build_specs(
+double RotationPlanner::predicted_peak_c(
     const std::vector<ThreadEstimate>& threads,
-    const std::vector<std::size_t>& ring_of_thread) const {
-    const auto& rings = chip_->rings();
-    std::vector<RotationRingSpec> specs(rings.size());
-    for (std::size_t r = 0; r < rings.size(); ++r) {
-        specs[r].cores = rings[r].cores;
-        specs[r].slot_power_w.assign(rings[r].cores.size(),
-                                     analyzer_->idle_power_w());
-    }
-    std::vector<std::size_t> next_slot(rings.size(), 0);
+    const std::vector<std::size_t>& ring_of_thread, bool rotation_on,
+    double tau_s) const {
+    // Threads fill their ring's slots in input order.
+    std::vector<RotationRingSpec> specs;
+    idle_ring_specs(chip_->rings(), analyzer_->idle_power_w(), specs);
+    std::vector<std::size_t> next_slot(specs.size(), 0);
     for (std::size_t i = 0; i < threads.size(); ++i) {
         const std::size_t r = ring_of_thread[i];
-        if (r >= rings.size())
+        if (r >= specs.size())
             throw std::invalid_argument("RotationPlanner: bad ring index");
         if (next_slot[r] >= specs[r].slot_power_w.size())
             throw std::invalid_argument(
                 "RotationPlanner: ring over capacity");
         specs[r].slot_power_w[next_slot[r]++] = threads[i].power_w;
     }
-    return specs;
-}
-
-double RotationPlanner::predicted_peak_c(
-    const std::vector<ThreadEstimate>& threads,
-    const std::vector<std::size_t>& ring_of_thread, bool rotation_on,
-    double tau_s) const {
-    const auto specs = build_specs(threads, ring_of_thread);
-    if (rotation_on) return analyzer_->rotation_peak(specs, tau_s);
+    if (rotation_on)
+        return analyzer_->rotation_peak(specs, tau_s,
+                                        ladder_.samples_per_epoch());
     // Pinned execution: materialise the slot assignment as a static vector.
-    linalg::Vector power(chip_->core_count(), analyzer_->idle_power_w());
-    for (const RotationRingSpec& spec : specs)
-        for (std::size_t j = 0; j < spec.cores.size(); ++j)
-            power[spec.cores[j]] = spec.slot_power_w[j];
+    linalg::Vector power(chip_->core_count());
+    scatter_static_power(specs, analyzer_->idle_power_w(), power.data(),
+                         power.size());
     return analyzer_->static_peak(power);
 }
 
@@ -88,15 +73,12 @@ RotationPlan RotationPlanner::plan_greedy(
         throw std::invalid_argument("RotationPlanner: threads do not fit");
 
     const double limit = t_dtm_c - headroom_delta_c;
+    // Both speed-up walks continue while peak >= limit.
+    const auto safe = [limit](double p) { return !(p >= limit); };
     std::vector<std::size_t> counts(rings.size(), 0);
     std::vector<std::size_t> assignment;
-    bool rotation_on = true;
     // Start at the rung closest to the paper's 0.5 ms default.
-    std::size_t tau_idx = 0;
-    for (std::size_t i = 0; i < tau_ladder_s_.size(); ++i)
-        if (std::abs(tau_ladder_s_[i] - 0.5e-3) <
-            std::abs(tau_ladder_s_[tau_idx] - 0.5e-3))
-            tau_idx = i;
+    std::size_t tau_idx = ladder_.nearest(0.5e-3);
 
     for (std::size_t i = 0; i < threads.size(); ++i) {
         bool placed = false;
@@ -106,8 +88,8 @@ RotationPlan RotationPlanner::plan_greedy(
             ++counts[r];
             const std::vector<ThreadEstimate> so_far(threads.begin(),
                                                      threads.begin() + i + 1);
-            if (predicted_peak_c(so_far, assignment, rotation_on,
-                                 tau_ladder_s_[tau_idx]) < limit) {
+            if (predicted_peak_c(so_far, assignment, true,
+                                 ladder_[tau_idx]) < limit) {
                 placed = true;
             } else {
                 assignment.pop_back();
@@ -123,12 +105,19 @@ RotationPlan RotationPlanner::plan_greedy(
                 placed = true;
                 break;
             }
+            // The fastest rung is taken unprobed: the repair pass below
+            // re-evaluates the final configuration anyway.
             const std::vector<ThreadEstimate> so_far(threads.begin(),
                                                      threads.begin() + i + 1);
-            while (tau_idx > 0 &&
-                   predicted_peak_c(so_far, assignment, rotation_on,
-                                    tau_ladder_s_[tau_idx]) >= limit)
-                --tau_idx;
+            tau_idx = ladder_
+                          .descend(
+                              tau_idx,
+                              [&](bool on, std::size_t rung) {
+                                  return predicted_peak_c(so_far, assignment,
+                                                          on, ladder_[rung]);
+                              },
+                              safe, /*probe_fastest=*/false)
+                          .rung;
         }
     }
 
@@ -136,8 +125,10 @@ RotationPlan RotationPlanner::plan_greedy(
     // demote the least memory-bound (lowest CPI, least placement-sensitive)
     // threads outward and speed the rotation until headroom appears.
     const double f_max = chip_->dvfs().f_max_hz;
-    double peak = predicted_peak_c(threads, assignment, rotation_on,
-                                   tau_ladder_s_[tau_idx]);
+    const auto peak_of = [&](bool on, std::size_t rung) {
+        return predicted_peak_c(threads, assignment, on, ladder_[rung]);
+    };
+    double peak = peak_of(true, tau_idx);
     std::size_t guard = threads.size() * rings.size();
     while (peak >= limit && guard-- > 0) {
         std::size_t victim = threads.size();
@@ -162,33 +153,21 @@ RotationPlan RotationPlanner::plan_greedy(
             ++counts[r];
             break;
         }
-        peak = predicted_peak_c(threads, assignment, rotation_on,
-                                tau_ladder_s_[tau_idx]);
+        peak = peak_of(true, tau_idx);
     }
-    while (peak >= limit && tau_idx > 0) {
-        --tau_idx;
-        peak = predicted_peak_c(threads, assignment, rotation_on,
-                                tau_ladder_s_[tau_idx]);
-    }
+    RotationSetting setting{true, tau_idx, peak};
+    if (peak >= limit && tau_idx > 0)
+        setting = ladder_.descend(tau_idx - 1, peak_of, safe);
 
     // Lines 23-27: relax the rotation while safety holds.
-    while (rotation_on) {
-        const bool at_top = tau_idx + 1 >= tau_ladder_s_.size();
-        const bool candidate_on = !at_top;
-        const std::size_t candidate_idx = at_top ? tau_idx : tau_idx + 1;
-        if (predicted_peak_c(threads, assignment, candidate_on,
-                             tau_ladder_s_[candidate_idx]) < limit) {
-            rotation_on = candidate_on;
-            tau_idx = candidate_idx;
-        } else {
-            break;
-        }
-    }
+    setting = ladder_.relax(
+        setting, peak_of, [](double) { return true; },
+        [limit](const RotationSetting& next) { return next.peak_c < limit; });
 
     RotationPlan plan;
     plan.ring_of_thread = std::move(assignment);
-    plan.rotation_on = rotation_on;
-    plan.tau_s = tau_ladder_s_[tau_idx];
+    plan.rotation_on = setting.rotation_on;
+    plan.tau_s = ladder_[setting.rung];
     plan.predicted_peak_c = predicted_peak_c(threads, plan.ring_of_thread,
                                              plan.rotation_on, plan.tau_s);
     plan.thermally_safe = plan.predicted_peak_c < limit;
@@ -216,11 +195,9 @@ RotationPlan RotationPlanner::plan_exhaustive(
 
     const auto evaluate = [&]() {
         // Rotation settings: pinned, or each ladder rung.
-        for (std::size_t setting = 0; setting <= tau_ladder_s_.size();
-             ++setting) {
+        for (std::size_t setting = 0; setting <= ladder_.size(); ++setting) {
             const bool rotation_on = setting > 0;
-            const double tau =
-                rotation_on ? tau_ladder_s_[setting - 1] : tau_ladder_s_[0];
+            const double tau = rotation_on ? ladder_[setting - 1] : ladder_[0];
             RotationPlan plan;
             plan.ring_of_thread = assignment;
             plan.rotation_on = rotation_on;

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "arch/manycore.hpp"
+#include "core/certify.hpp"
 #include "core/peak_temperature.hpp"
 #include "perf/interval_model.hpp"
 
@@ -77,14 +78,10 @@ public:
                                  std::size_t max_threads = 10) const;
 
 private:
-    std::vector<RotationRingSpec> build_specs(
-        const std::vector<ThreadEstimate>& threads,
-        const std::vector<std::size_t>& ring_of_thread) const;
-
     const arch::ManyCore* chip_;
     const perf::IntervalPerformanceModel* perf_;
     const PeakTemperatureAnalyzer* analyzer_;
-    std::vector<double> tau_ladder_s_;
+    TauLadder ladder_;
 };
 
 }  // namespace hp::core

@@ -15,14 +15,18 @@ void PcMigScheduler::initialize(sim::SimContext& ctx) {
         predict_ws_ = &scratch->slot<thermal::ThermalWorkspace>();
     else
         predict_ws_ = &own_predict_ws_;
+    obs::Counter* steady_hits = nullptr;
+    obs::Counter* steady_misses = nullptr;
     if (obs::Recorder* obs = ctx.observer()) {
         obs_predictions_ = &obs->counter("pcmig.predictions");
-        obs_steady_hits_ = &obs->counter("pcmig.steady_cache_hits");
-        obs_steady_misses_ = &obs->counter("pcmig.steady_cache_misses");
+        steady_hits = &obs->counter("pcmig.steady_cache_hits");
+        steady_misses = &obs->counter("pcmig.steady_cache_misses");
     }
+    steady_cache_.count_into(steady_hits, steady_misses);
     backend_sig_ = ctx.solver().backend_signature();
     if (params_.use_peak_cache)
-        steady_cache_.configure(128, 1 + ctx.chip().core_count());
+        steady_cache_.configure(
+            128, core::PeakKey::max_words(1, ctx.chip().core_count()));
     else
         steady_cache_.configure(0, 0);
 }
@@ -46,33 +50,27 @@ const linalg::Vector& PcMigScheduler::predict(sim::SimContext& ctx) {
         predict_power_[c] = core::quantise_power_w(ctx.core_power(c));
     ctx.thermal_model().pad_power_into(predict_power_, predict_node_power_);
 
-    // Steady-state half: memoised on the quantised power vector (plus the
-    // solver-backend identity word, so backend or tolerance changes never
-    // alias cached solves). The rest of the pipeline replicates
-    // TransientSolver::transient_into step for step, so the prediction
-    // matches a direct transient_into call bit for bit.
+    // Steady-state half: memoised under the static PeakKey of the quantised
+    // power vector (one ring of every core; the solver-backend identity word
+    // keeps backend or tolerance changes from aliasing cached solves). The
+    // rest of the pipeline replicates TransientSolver::transient_into step
+    // for step, so the prediction matches a direct transient_into call bit
+    // for bit.
     if (predict_steady_.size() != big_n)
         predict_steady_ = linalg::Vector(big_n);
     predict_ws_->resize(big_n);
     bool have_steady = false;
     if (steady_cache_.enabled()) {
-        steady_cache_.key_begin();
-        steady_cache_.key_push(backend_sig_);
-        for (std::size_t c = 0; c < n; ++c)
-            steady_cache_.key_push(predict_power_[c]);
-        if (const linalg::Vector* hit = steady_cache_.lookup()) {
-            predict_steady_ = *hit;
-            have_steady = true;
-            if (obs_steady_hits_) obs_steady_hits_->add();
-        } else if (obs_steady_misses_) {
-            obs_steady_misses_->add();
-        }
+        key_.begin(backend_sig_, false, 0.0, 0);
+        key_.add_ring(predict_power_.data(), n);
+        have_steady =
+            steady_cache_.lookup(key_.data(), key_.size(), &predict_steady_);
     }
     if (!have_steady) {
         ctx.solver().steady_state_into(predict_node_power_,
                                        ctx.config().ambient_c, *predict_ws_,
                                        predict_steady_);
-        steady_cache_.insert(predict_steady_);
+        steady_cache_.insert(key_.data(), key_.size(), predict_steady_);
     }
     const linalg::Vector& t_init = ctx.temperatures();
     for (std::size_t i = 0; i < big_n; ++i)

@@ -59,8 +59,6 @@ private:
 
     PcMigParams params_;
     obs::Counter* obs_predictions_ = nullptr;  // null when observability off
-    obs::Counter* obs_steady_hits_ = nullptr;
-    obs::Counter* obs_steady_misses_ = nullptr;
     // Prediction scratch. Inside a campaign worker the workspace is borrowed
     // from the worker's WorkerScratch bag (arena-backed, one per worker,
     // distinct from the simulator's workspace so the e^{λ·dt} memos of the
@@ -77,6 +75,7 @@ private:
     /// hit replaces only the B^{-1} solve; the transient tail always runs
     /// (it depends on the live temperatures, which change every epoch).
     core::PredictionCache<linalg::Vector> steady_cache_;
+    core::PeakKey key_;
     /// Solver-backend identity word folded into every steady-cache key.
     std::uint64_t backend_sig_ = 0;
 };

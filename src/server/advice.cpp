@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 #include "arch/manycore.hpp"
@@ -11,26 +12,20 @@
 namespace hp::server {
 namespace {
 
-// Key-space discriminators so a static and a rotation evaluation of the
-// same powers can never alias (the backend_signature prefix already
-// separates solver backends and chip models).
-constexpr std::uint64_t kStaticTag = 0x5354415449435f50ull;  // "STATIC_P"
-constexpr std::uint64_t kRotationTag = 0x524f544154455f50ull;  // "ROTATE_P"
-
-template <typename Compute>
-double eval_cached(core::ConcurrentPeakCache* cache,
-                   const core::CacheKey& key, Compute&& compute) {
-    double value;
-    if (cache && cache->lookup(key.data(), key.size(), &value)) return value;
-    value = compute();
-    if (cache) cache->insert(key.data(), key.size(), value);
-    return value;
+/// A τ grid as the scan walks it: ascending, duplicates dropped.
+std::vector<double> ascending_unique(std::vector<double> taus) {
+    std::sort(taus.begin(), taus.end());
+    taus.erase(std::unique(taus.begin(), taus.end()), taus.end());
+    return taus;
 }
 
 }  // namespace
 
 AdviceBundle::AdviceBundle(campaign::StudySetup setup, AdviceDefaults defaults)
-    : setup_(std::move(setup)), defaults_(std::move(defaults)) {
+    : setup_(std::move(setup)),
+      defaults_(std::move(defaults)),
+      ladder_(ascending_unique(defaults_.tau_ladder_s),
+              defaults_.samples_per_epoch) {
     // Idle power evaluated conservatively at the DTM threshold, matching
     // HotPotato's run-time analyzer construction.
     power::PowerModel power(power::PowerParams{}, setup_.chip().dvfs());
@@ -45,10 +40,8 @@ std::size_t AdviceBundle::core_count() const {
 }
 
 std::size_t AdviceBundle::max_key_words() const {
-    // Static key: sig + tag + count + one word per core.
-    // Rotation key: sig + tag + τ + ring count + one word per ring (size)
-    // + one word per core (slot power). The rotation form dominates.
-    return 4 + setup_.chip().rings().size() + core_count();
+    return core::PeakKey::max_words(setup_.chip().rings().size(),
+                                    core_count());
 }
 
 AdviceBundle AdviceBundle::replicate() const {
@@ -84,14 +77,13 @@ AdviceResponse advise(const AdviceBundle& bundle,
     for (std::size_t t = 0; t < threads; ++t)
         scratch.qpower_[t] = core::quantise_power_w(request.thread_power_w[t]);
 
-    // --- scan grid, slowest (largest τ) first ------------------------------
-    scratch.taus_ =
-        request.tau_grid_s.empty() ? d.tau_ladder_s : request.tau_grid_s;
-    std::sort(scratch.taus_.begin(), scratch.taus_.end(),
-              std::greater<double>());
-    scratch.taus_.erase(
-        std::unique(scratch.taus_.begin(), scratch.taus_.end()),
-        scratch.taus_.end());
+    // --- τ grid: the request's, else the bundle's default ladder ----------
+    std::optional<core::TauLadder> request_ladder;
+    if (!request.tau_grid_s.empty())
+        request_ladder.emplace(ascending_unique(request.tau_grid_s),
+                               d.samples_per_epoch);
+    const core::TauLadder& ladder =
+        request_ladder ? *request_ladder : bundle.ladder();
 
     // --- placement: request order into the lowest-AMD rings ----------------
     // The online scheduler places *arriving* threads one at a time
@@ -100,12 +92,7 @@ AdviceResponse advise(const AdviceBundle& bundle,
     // certifies the whole assignment per rotation setting below.
     AdviceResponse response;
     response.core_of_thread.resize(threads);
-    scratch.rings_.resize(rings.size());
-    for (std::size_t r = 0; r < rings.size(); ++r) {
-        scratch.rings_[r].cores = rings[r].cores;
-        scratch.rings_[r].slot_power_w.assign(rings[r].cores.size(),
-                                              bundle.idle_power_w());
-    }
+    core::idle_ring_specs(rings, bundle.idle_power_w(), scratch.rings_);
     {
         std::size_t ring = 0, slot = 0;
         for (std::size_t t = 0; t < threads; ++t) {
@@ -127,22 +114,16 @@ AdviceResponse advise(const AdviceBundle& bundle,
 
     // --- static candidate (rotation off) -----------------------------------
     if (scratch.static_power_.size() != n) scratch.static_power_.resize(n);
-    for (std::size_t i = 0; i < n; ++i)
-        scratch.static_power_[i] = bundle.idle_power_w();
-    for (std::size_t t = 0; t < threads; ++t)
-        scratch.static_power_[response.core_of_thread[t]] =
-            scratch.qpower_[t];
-
-    scratch.key_.clear();
-    scratch.key_.push(bundle.backend_signature());
-    scratch.key_.push(kStaticTag);
-    scratch.key_.push(static_cast<std::uint64_t>(n));
-    for (std::size_t i = 0; i < n; ++i)
-        scratch.key_.push(scratch.static_power_[i]);
-    const double static_peak = eval_cached(cache, scratch.key_, [&] {
-        return analyzer.static_peak(scratch.static_power_,
-                                    scratch.workspace_);
-    });
+    core::scatter_static_power(scratch.rings_, bundle.idle_power_w(),
+                               scratch.static_power_.data(), n);
+    if (cache)
+        scratch.key_.assign(bundle.backend_signature(), false, 0.0, 0,
+                            scratch.rings_);
+    const double static_peak =
+        core::memoised_peak(cache, scratch.key_, [&] {
+            return analyzer.static_peak(scratch.static_power_,
+                                        scratch.workspace_);
+        });
 
     if (static_peak < limit) {
         response.rotation_on = 0;
@@ -159,40 +140,28 @@ AdviceResponse advise(const AdviceBundle& bundle,
     }
 
     // --- rotation scan: slowest safe τ, else fastest-and-unsafe ------------
-    double chosen_tau = scratch.taus_.back();  // fastest rung as fallback
-    bool safe = false;
-    for (double tau : scratch.taus_) {
-        scratch.key_.clear();
-        scratch.key_.push(bundle.backend_signature());
-        scratch.key_.push(kRotationTag);
-        scratch.key_.push(tau);
-        scratch.key_.push(static_cast<std::uint64_t>(scratch.rings_.size()));
-        for (const core::RotationRingSpec& ring : scratch.rings_) {
-            scratch.key_.push(
-                static_cast<std::uint64_t>(ring.slot_power_w.size()));
-            for (double p : ring.slot_power_w) scratch.key_.push(p);
-        }
-        const double peak = eval_cached(cache, scratch.key_, [&] {
-            return analyzer.rotation_peak(scratch.rings_, tau,
-                                          d.samples_per_epoch,
-                                          scratch.workspace_);
-        });
-        if (peak < limit) {
-            chosen_tau = tau;
-            safe = true;
-            break;
-        }
-    }
+    const std::size_t samples = ladder.samples_per_epoch();
+    const core::RotationSetting scan = ladder.descend(
+        ladder.top(),
+        [&](bool, std::size_t rung) {
+            if (cache)
+                scratch.key_.assign(bundle.backend_signature(), true,
+                                    ladder[rung], samples, scratch.rings_);
+            return core::memoised_peak(cache, scratch.key_, [&] {
+                return analyzer.rotation_peak(scratch.rings_, ladder[rung],
+                                              samples, scratch.workspace_);
+            });
+        },
+        [limit](double peak) { return peak < limit; });
 
     response.rotation_on = 1;
-    response.tau_s = chosen_tau;
+    response.tau_s = ladder[scan.rung];
     response.predicted_peak_c =
-        analyzer.rotation_peak_map(scratch.rings_, chosen_tau,
-                                   d.samples_per_epoch, scratch.workspace_,
-                                   scratch.map_.data());
+        analyzer.rotation_peak_map(scratch.rings_, response.tau_s, samples,
+                                   scratch.workspace_, scratch.map_.data());
     response.peak_core_c = scratch.map_;
     response.thermally_safe =
-        (safe || response.predicted_peak_c < limit) ? 1 : 0;
+        (scan.peak_c < limit || response.predicted_peak_c < limit) ? 1 : 0;
     return response;
 }
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "campaign/study_setup.hpp"
+#include "core/certify.hpp"
 #include "core/concurrent_peak_cache.hpp"
 #include "core/peak_temperature.hpp"
 #include "server/protocol.hpp"
@@ -18,7 +19,8 @@ namespace hp::server {
 /// Evaluation defaults the server applies to every request of a bundle —
 /// mirrors SimConfig's thermal contract (DTM threshold, ambient) and
 /// HotPotatoParams' τ ladder so an advice answer matches what the run-time
-/// scheduler would certify.
+/// scheduler would certify. AdviceBundle rejects an empty, non-finite or
+/// non-positive ladder and zero samples_per_epoch.
 struct AdviceDefaults {
     double t_dtm_c = 70.0;
     double ambient_c = 45.0;
@@ -26,7 +28,8 @@ struct AdviceDefaults {
     /// safe when its certified peak stays below t_dtm_c - headroom_delta_c.
     double headroom_delta_c = 1.0;
     std::size_t samples_per_epoch = 2;
-    /// Default τ grid (ascending), used when a request carries none.
+    /// Default τ grid (any order; duplicates are dropped), used when a
+    /// request carries none.
     std::vector<double> tau_ladder_s = {0.125e-3, 0.25e-3, 0.5e-3,
                                         1e-3,     2e-3,    4e-3};
 };
@@ -43,10 +46,14 @@ struct AdviceDefaults {
 /// exactly as the campaign engine replicates StudySetups (PR 8).
 class AdviceBundle {
 public:
+    /// Throws std::invalid_argument when @p defaults fail TauLadder's
+    /// validation (empty ladder, samples_per_epoch == 0, ...).
     AdviceBundle(campaign::StudySetup setup, AdviceDefaults defaults);
 
     const campaign::StudySetup& setup() const { return setup_; }
     const AdviceDefaults& defaults() const { return defaults_; }
+    /// defaults().tau_ladder_s, ascending and de-duplicated.
+    const core::TauLadder& ladder() const { return ladder_; }
     const core::PeakTemperatureAnalyzer& analyzer() const {
         return *analyzer_;
     }
@@ -63,6 +70,7 @@ public:
 private:
     campaign::StudySetup setup_;
     AdviceDefaults defaults_;
+    core::TauLadder ladder_;
     std::unique_ptr<core::PeakTemperatureAnalyzer> analyzer_;
     std::uint64_t backend_signature_ = 0;
     double idle_power_w_ = 0.0;
@@ -81,10 +89,9 @@ private:
     friend AdviceResponse advise(const AdviceBundle&, const AdviceRequest&,
                                  AdviceScratch&, core::ConcurrentPeakCache*);
     core::PeakWorkspace workspace_;
-    core::CacheKey key_;
+    core::PeakKey key_;
     std::vector<core::RotationRingSpec> rings_;
     std::vector<double> qpower_;        ///< quantised thread powers
-    std::vector<double> taus_;          ///< descending scan grid
     linalg::Vector static_power_;       ///< per-core static candidate
     std::vector<double> map_;           ///< per-core peak staging
 };

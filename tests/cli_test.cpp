@@ -247,6 +247,25 @@ TEST(CliExitCodes, UnfinishedRunReturnsOne) {
               hp::cli::kExitRunFailure);
 }
 
+TEST(CliRun, IncompleteRunReportsFinishedOverSubmitted) {
+    // Cut short by --max-time: the report shows finished/submitted and the
+    // INCOMPLETE marker, never the size_t(-1) sentinel.
+    std::ostringstream out, err;
+    EXPECT_EQ(hp::cli::run_cli({"--rows", "4", "--cols", "4", "--tasks", "3",
+                                "--rate", "100", "--max-time", "0.002",
+                                "--max-threads", "4"},
+                               out, err),
+              hp::cli::kExitRunFailure);
+    const std::string report = out.str();
+    const std::size_t line = report.find("tasks finished     : ");
+    ASSERT_NE(line, std::string::npos) << report;
+    const std::string counts =
+        report.substr(line, report.find('\n', line) - line);
+    EXPECT_NE(counts.find("/3 (INCOMPLETE)"), std::string::npos) << counts;
+    EXPECT_EQ(report.find("18446744073709551615"), std::string::npos)
+        << report;
+}
+
 TEST(CliExitCodes, CorruptResumeJournalReturnsThree) {
     const std::string path = cli_temp_path("cli_corrupt.hpj");
     {

@@ -15,8 +15,11 @@
 
 namespace {
 
-using hp::core::CacheKey;
 using hp::core::ConcurrentPeakCache;
+
+// Keys are plain word sequences (the cache takes key words, as
+// PredictionCache does).
+using Key = std::vector<std::uint64_t>;
 
 // The pure-function-of-key contract: a cache may only memoise values
 // derivable from the key alone, which is what makes every race benign. The
@@ -25,26 +28,21 @@ double value_of(std::uint64_t a, std::uint64_t b) {
     return static_cast<double>((a * 2654435761ull + b) & 0xFFFFFull) * 0.5;
 }
 
-CacheKey make_key(std::uint64_t a, std::uint64_t b) {
-    CacheKey key;
-    key.push(a);
-    key.push(b);
-    return key;
-}
+Key make_key(std::uint64_t a, std::uint64_t b) { return Key{a, b}; }
 
 TEST(ConcurrentCacheTest, InsertLookupRoundTrip) {
     ConcurrentPeakCache cache;
     cache.configure(256, 8);
     EXPECT_TRUE(cache.enabled());
 
-    const CacheKey key = make_key(1, 2);
+    const Key key = make_key(1, 2);
     double value = 0.0;
     EXPECT_FALSE(cache.lookup(key.data(), key.size(), &value));
     cache.insert(key.data(), key.size(), 42.5);
     ASSERT_TRUE(cache.lookup(key.data(), key.size(), &value));
     EXPECT_EQ(value, 42.5);
 
-    const CacheKey other = make_key(3, 4);
+    const Key other = make_key(3, 4);
     EXPECT_FALSE(cache.lookup(other.data(), other.size(), &value));
 
     const ConcurrentPeakCache::Stats stats = cache.stats();
@@ -54,7 +52,7 @@ TEST(ConcurrentCacheTest, InsertLookupRoundTrip) {
 
 TEST(ConcurrentCacheTest, DisabledCacheAlwaysMisses) {
     ConcurrentPeakCache cache;  // never configured
-    const CacheKey key = make_key(1, 2);
+    const Key key = make_key(1, 2);
     double value = 0.0;
     cache.insert(key.data(), key.size(), 1.0);
     EXPECT_FALSE(cache.lookup(key.data(), key.size(), &value));
@@ -70,8 +68,8 @@ TEST(ConcurrentCacheTest, DisabledCacheAlwaysMisses) {
 TEST(ConcurrentCacheTest, OversizeKeyIsNotCacheable) {
     ConcurrentPeakCache cache;
     cache.configure(256, /*max_key_words=*/2);
-    CacheKey key;
-    for (std::uint64_t i = 0; i < 3; ++i) key.push(i + 1);
+    Key key;
+    for (std::uint64_t i = 0; i < 3; ++i) key.push_back(i + 1);
     double value = 0.0;
     cache.insert(key.data(), key.size(), 7.0);
     EXPECT_FALSE(cache.lookup(key.data(), key.size(), &value));
@@ -83,26 +81,26 @@ TEST(ConcurrentCacheTest, GenerationBumpDropsEveryEntry) {
     ConcurrentPeakCache cache;
     cache.configure(1024, 4);
     for (std::uint64_t i = 0; i < 200; ++i) {
-        const CacheKey key = make_key(i, i + 1);
+        const Key key = make_key(i, i + 1);
         cache.insert(key.data(), key.size(), value_of(i, i + 1));
     }
     double value = 0.0;
     std::size_t hits = 0;
     for (std::uint64_t i = 0; i < 200; ++i) {
-        const CacheKey key = make_key(i, i + 1);
+        const Key key = make_key(i, i + 1);
         if (cache.lookup(key.data(), key.size(), &value)) ++hits;
     }
     EXPECT_GT(hits, 0u);
 
     cache.invalidate();
     for (std::uint64_t i = 0; i < 200; ++i) {
-        const CacheKey key = make_key(i, i + 1);
+        const Key key = make_key(i, i + 1);
         EXPECT_FALSE(cache.lookup(key.data(), key.size(), &value))
             << "stale hit survived the generation bump for key " << i;
     }
 
     // Stale-generation slots are recycled: inserts work again afterwards.
-    const CacheKey key = make_key(9999, 1);
+    const Key key = make_key(9999, 1);
     cache.insert(key.data(), key.size(), 3.25);
     ASSERT_TRUE(cache.lookup(key.data(), key.size(), &value));
     EXPECT_EQ(value, 3.25);
@@ -116,12 +114,12 @@ TEST(ConcurrentCacheTest, CollisionsNeverCorruptValues) {
     cache.configure(/*entries=*/16, /*max_key_words=*/2, /*shards=*/1);
     const std::uint64_t keys = 4096;
     for (std::uint64_t i = 0; i < keys; ++i) {
-        const CacheKey key = make_key(i, i * 3);
+        const Key key = make_key(i, i * 3);
         cache.insert(key.data(), key.size(), value_of(i, i * 3));
     }
     std::size_t hits = 0;
     for (std::uint64_t i = 0; i < keys; ++i) {
-        const CacheKey key = make_key(i, i * 3);
+        const Key key = make_key(i, i * 3);
         double value = 0.0;
         if (cache.lookup(key.data(), key.size(), &value)) {
             ++hits;
@@ -150,14 +148,14 @@ TEST(ConcurrentCacheTest, StressMixedInsertLookupInvalidate) {
     for (std::size_t t = 0; t < threads; ++t) {
         pool.emplace_back([&, t] {
             std::mt19937_64 rng(t + 1);
-            CacheKey key;
+            Key key;
             std::uint64_t my_lookups = 0;
             for (std::size_t i = 0; i < iterations; ++i) {
                 const std::uint64_t a = rng() % key_space;
                 const std::uint64_t b = rng() % 7;
                 key.clear();
-                key.push(a);
-                key.push(b);
+                key.push_back(a);
+                key.push_back(b);
                 const std::uint64_t op = rng() % 16;
                 if (op == 0 && t == 0) {
                     // One thread occasionally drops everything; hits before

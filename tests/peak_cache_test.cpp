@@ -17,6 +17,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -54,50 +55,46 @@ TEST(QuantisePower, ExactBinaryGridAndIdempotence) {
 
 // --- PredictionCache unit semantics ------------------------------------------
 
+/// Bit pattern of a double, the way PeakKey stores quantised powers.
+std::uint64_t bits_of(double value) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &value, sizeof bits);
+    return bits;
+}
+
 TEST(PredictionCache, MissThenHitWithExactKeyMatch) {
     core::PredictionCache<double> cache;
     cache.configure(16, 4);
     ASSERT_TRUE(cache.enabled());
 
-    cache.key_begin();
-    cache.key_push(std::uint64_t{42});
-    cache.key_push(1.5);
-    EXPECT_EQ(cache.lookup(), nullptr);
-    cache.insert(73.25);
+    const std::uint64_t key[] = {42, bits_of(1.5)};
+    double value = 0.0;
+    EXPECT_FALSE(cache.lookup(key, 2, &value));
+    cache.insert(key, 2, 73.25);
     EXPECT_EQ(cache.misses(), 1u);
 
-    cache.key_begin();
-    cache.key_push(std::uint64_t{42});
-    cache.key_push(1.5);
-    const double* hit = cache.lookup();
-    ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(*hit, 73.25);
+    ASSERT_TRUE(cache.lookup(key, 2, &value));
+    EXPECT_EQ(value, 73.25);
     EXPECT_EQ(cache.hits(), 1u);
 
     // One different word → different key → miss.
-    cache.key_begin();
-    cache.key_push(std::uint64_t{43});
-    cache.key_push(1.5);
-    EXPECT_EQ(cache.lookup(), nullptr);
+    const std::uint64_t other[] = {43, bits_of(1.5)};
+    EXPECT_FALSE(cache.lookup(other, 2, &value));
     // A prefix of a stored key is not a match either.
-    cache.key_begin();
-    cache.key_push(std::uint64_t{42});
-    EXPECT_EQ(cache.lookup(), nullptr);
+    EXPECT_FALSE(cache.lookup(key, 1, &value));
 }
 
 TEST(PredictionCache, InvalidateDropsEntriesKeepsStats) {
     core::PredictionCache<double> cache;
     cache.configure(8, 2);
-    cache.key_begin();
-    cache.key_push(std::uint64_t{7});
-    cache.insert(1.0);
-    (void)cache.lookup();  // hit
+    const std::uint64_t key[] = {7};
+    double value = 0.0;
+    cache.insert(key, 1, 1.0);
+    (void)cache.lookup(key, 1, &value);  // hit
     EXPECT_EQ(cache.hits(), 1u);
 
     cache.invalidate();
-    cache.key_begin();
-    cache.key_push(std::uint64_t{7});
-    EXPECT_EQ(cache.lookup(), nullptr) << "entry survived invalidate()";
+    EXPECT_FALSE(cache.lookup(key, 1, &value)) << "entry survived invalidate()";
     EXPECT_EQ(cache.hits(), 1u) << "stats must survive invalidate()";
     EXPECT_EQ(cache.misses(), 1u);
 }
@@ -109,69 +106,73 @@ TEST(PredictionCache, GenerationBumpLeavesNoStaleHitsBehind) {
     // pre-fault (or pre-DVFS) prediction leak into a re-formed ring set.
     core::PredictionCache<double> cache;
     cache.configure(16, 2);  // smaller than the key set: slots get reused
+    double value = 0.0;
     for (int round = 0; round < 5; ++round) {
         for (std::uint64_t k = 0; k < 64; ++k) {
-            cache.key_begin();
-            cache.key_push(k);
-            cache.key_push(std::uint64_t(round));
-            cache.insert(double(round * 1000 + int(k)));
+            const std::uint64_t key[] = {k, std::uint64_t(round)};
+            cache.insert(key, 2, double(round * 1000 + int(k)));
         }
         cache.invalidate();
         for (std::uint64_t k = 0; k < 64; ++k) {
-            cache.key_begin();
-            cache.key_push(k);
-            cache.key_push(std::uint64_t(round));
-            EXPECT_EQ(cache.lookup(), nullptr)
+            const std::uint64_t key[] = {k, std::uint64_t(round)};
+            EXPECT_FALSE(cache.lookup(key, 2, &value))
                 << "stale hit for key " << k << " survived bump " << round;
         }
     }
     // Stale-generation slots are preferred insert victims: the cache keeps
     // serving at full capacity after any number of bumps.
-    cache.key_begin();
-    cache.key_push(std::uint64_t{7});
-    cache.insert(42.0);
-    cache.key_begin();
-    cache.key_push(std::uint64_t{7});
-    const double* hit = cache.lookup();
-    ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(*hit, 42.0);
+    const std::uint64_t key[] = {7};
+    cache.insert(key, 1, 42.0);
+    ASSERT_TRUE(cache.lookup(key, 1, &value));
+    EXPECT_EQ(value, 42.0);
 }
 
 TEST(PredictionCache, OversizeKeysAndDisabledCacheAreSafeNoOps) {
     core::PredictionCache<double> cache;
     cache.configure(4, 2);
-    cache.key_begin();
-    for (int i = 0; i < 3; ++i) cache.key_push(std::uint64_t(i));  // 3 > 2
-    EXPECT_EQ(cache.lookup(), nullptr);
-    cache.insert(9.0);  // dropped, not stored
-    cache.key_begin();
-    for (int i = 0; i < 3; ++i) cache.key_push(std::uint64_t(i));
-    EXPECT_EQ(cache.lookup(), nullptr);
+    const std::uint64_t key[] = {0, 1, 2};  // 3 words > 2
+    double value = 0.0;
+    EXPECT_FALSE(cache.lookup(key, 3, &value));
+    cache.insert(key, 3, 9.0);  // dropped, not stored
+    EXPECT_FALSE(cache.lookup(key, 3, &value));
 
     core::PredictionCache<double> off;
     off.configure(0, 0);
     EXPECT_FALSE(off.enabled());
-    off.key_begin();
-    off.key_push(std::uint64_t{1});
-    EXPECT_EQ(off.lookup(), nullptr);
-    off.insert(1.0);  // no-op, must not crash
+    EXPECT_FALSE(off.lookup(key, 1, &value));
+    off.insert(key, 1, 1.0);  // no-op, must not crash
 }
 
 TEST(PredictionCache, EvictionKeepsServingUnderPressure) {
     core::PredictionCache<double> cache;
     cache.configure(4, 1);  // tiny: inserts must evict
+    double value = 0.0;
     for (std::uint64_t k = 0; k < 64; ++k) {
-        cache.key_begin();
-        cache.key_push(k);
-        if (cache.lookup() == nullptr) cache.insert(double(k));
+        const std::uint64_t key[] = {k};
+        if (!cache.lookup(key, 1, &value)) cache.insert(key, 1, double(k));
     }
     // Most recent key is still resident (it was just inserted into the
     // freshest slot of its probe window).
-    cache.key_begin();
-    cache.key_push(std::uint64_t{63});
-    const double* hit = cache.lookup();
-    ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(*hit, 63.0);
+    const std::uint64_t key[] = {63};
+    ASSERT_TRUE(cache.lookup(key, 1, &value));
+    EXPECT_EQ(value, 63.0);
+}
+
+TEST(PredictionCache, MirrorsHitsAndMissesIntoCounters) {
+    core::PredictionCache<double> cache;
+    cache.configure(8, 1);
+    obs::Counter hits, misses;
+    cache.count_into(&hits, &misses);
+    const std::uint64_t key[] = {5};
+    double value = 0.0;
+    EXPECT_FALSE(cache.lookup(key, 1, &value));
+    cache.insert(key, 1, 2.0);
+    EXPECT_TRUE(cache.lookup(key, 1, &value));
+    EXPECT_TRUE(cache.lookup(key, 1, &value));
+    EXPECT_EQ(hits.value, cache.hits());
+    EXPECT_EQ(misses.value, cache.misses());
+    EXPECT_EQ(hits.value, 2u);
+    EXPECT_EQ(misses.value, 1u);
 }
 
 // --- simulation-level bit-identity (cache on ≡ cache off) --------------------

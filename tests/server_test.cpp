@@ -388,4 +388,16 @@ TEST(ServerTest, RejectsBadConfiguration) {
     EXPECT_THROW(AdviceServer server(config), std::invalid_argument);
 }
 
+TEST(ServerTest, RejectsInvalidAdviceDefaults) {
+    // Rejected at startup, before any request: with an empty default
+    // ladder a grid-less request has no rung to scan, and zero samples per
+    // epoch cannot certify any rung.
+    ServerConfig config = test_config("emptyladder");
+    config.defaults.tau_ladder_s.clear();
+    EXPECT_THROW(AdviceServer server(config), std::invalid_argument);
+    config = test_config("nosamples");
+    config.defaults.samples_per_epoch = 0;
+    EXPECT_THROW(AdviceServer server(config), std::invalid_argument);
+}
+
 }  // namespace

@@ -7,7 +7,9 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -460,25 +462,107 @@ TEST(PredictionCacheKeys, TaggedKeysMissAcrossBackends) {
     const auto modal = hp::thermal::make_solver(model, SolverConfig::modal());
 
     hp::core::PredictionCache<double> cache;
-    cache.configure(32, 4);
+    cache.configure(32, hp::core::PeakKey::max_words(1, 1));
     const double power = hp::core::quantise_power_w(4.2);
+    hp::core::PeakKey key;
+    double value = 0.0;
 
-    cache.key_begin();
-    cache.key_push(dense->backend_signature());
-    cache.key_push(power);
-    cache.insert(71.5);
+    key.begin(dense->backend_signature(), false, 0.0, 0);
+    key.add_ring(&power, 1);
+    cache.insert(key.data(), key.size(), 71.5);
 
-    cache.key_begin();
-    cache.key_push(modal->backend_signature());
-    cache.key_push(power);
-    EXPECT_EQ(cache.lookup(), nullptr) << "modal key hit a dense entry";
+    key.begin(modal->backend_signature(), false, 0.0, 0);
+    key.add_ring(&power, 1);
+    EXPECT_FALSE(cache.lookup(key.data(), key.size(), &value))
+        << "modal key hit a dense entry";
 
-    cache.key_begin();
-    cache.key_push(dense->backend_signature());
-    cache.key_push(power);
-    const double* hit = cache.lookup();
-    ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(*hit, 71.5);
+    key.begin(dense->backend_signature(), false, 0.0, 0);
+    key.add_ring(&power, 1);
+    ASSERT_TRUE(cache.lookup(key.data(), key.size(), &value));
+    EXPECT_EQ(value, 71.5);
+}
+
+/// The words of @p key, for comparing keys.
+std::vector<std::uint64_t> words_of(const hp::core::PeakKey& key) {
+    return {key.data(), key.data() + key.size()};
+}
+
+/// Rings of the given slot counts, slot powers 1, 2, 3, ... in ring order.
+std::vector<hp::core::RotationRingSpec> rings_of(
+    std::initializer_list<std::size_t> sizes) {
+    std::vector<hp::core::RotationRingSpec> rings;
+    double power = 1.0;
+    std::size_t core = 0;
+    for (std::size_t size : sizes) {
+        hp::core::RotationRingSpec ring;
+        for (std::size_t j = 0; j < size; ++j) {
+            ring.cores.push_back(core++);
+            ring.slot_power_w.push_back(power);
+            power += 1.0;
+        }
+        rings.push_back(ring);
+    }
+    return rings;
+}
+
+TEST(PredictionCacheKeys, StaticAndRotationKeysNeverAlias) {
+    const auto rings = rings_of({2, 3});
+    hp::core::PeakKey rotation, fixed;
+    rotation.assign(7, true, 0.5e-3, 2, rings);
+    fixed.assign(7, false, 0.5e-3, 2, rings);
+    EXPECT_NE(words_of(rotation), words_of(fixed));
+    // A static key ignores τ and samples: one static assignment, one key.
+    hp::core::PeakKey fixed_other;
+    fixed_other.assign(7, false, 4e-3, 8, rings);
+    EXPECT_EQ(words_of(fixed), words_of(fixed_other));
+}
+
+TEST(PredictionCacheKeys, TauRungsAndSamplesNeverAlias) {
+    const auto rings = rings_of({2, 3});
+    const double ladder[] = {0.125e-3, 0.25e-3, 0.5e-3, 1e-3, 2e-3, 4e-3};
+    std::vector<std::vector<std::uint64_t>> keys;
+    hp::core::PeakKey key;
+    for (double tau : ladder) {
+        key.assign(7, true, tau, 2, rings);
+        keys.push_back(words_of(key));
+    }
+    key.assign(7, true, ladder[0], 3, rings);
+    keys.push_back(words_of(key));
+    for (std::size_t i = 0; i < keys.size(); ++i)
+        for (std::size_t j = i + 1; j < keys.size(); ++j)
+            EXPECT_NE(keys[i], keys[j]) << i << " vs " << j;
+}
+
+TEST(PredictionCacheKeys, BackendPrefixSeparatesKeys) {
+    const auto rings = rings_of({3});
+    hp::core::PeakKey a, b;
+    a.assign(1, true, 1e-3, 2, rings);
+    b.assign(2, true, 1e-3, 2, rings);
+    EXPECT_NE(words_of(a), words_of(b));
+    EXPECT_EQ(a.data()[0], 1u);
+    EXPECT_EQ(b.data()[0], 2u);
+}
+
+TEST(PredictionCacheKeys, RingSizesSeparateKeysWithEqualPowers) {
+    // Same slot powers 1..5 in the same order, split {2,3} vs {3,2}: only
+    // the ring-size words tell the two assignments apart.
+    const auto two_three = rings_of({2, 3});
+    const auto three_two = rings_of({3, 2});
+    for (const bool rotation_on : {true, false}) {
+        hp::core::PeakKey a, b;
+        a.assign(7, rotation_on, 1e-3, 2, two_three);
+        b.assign(7, rotation_on, 1e-3, 2, three_two);
+        EXPECT_NE(words_of(a), words_of(b)) << rotation_on;
+        EXPECT_EQ(a.size(), hp::core::PeakKey::max_words(2, 5));
+    }
+    hp::core::PredictionCache<double> cache;
+    cache.configure(16, hp::core::PeakKey::max_words(2, 5));
+    hp::core::PeakKey a, b;
+    a.assign(7, true, 1e-3, 2, two_three);
+    b.assign(7, true, 1e-3, 2, three_two);
+    cache.insert(a.data(), a.size(), 60.0);
+    double value = 0.0;
+    EXPECT_FALSE(cache.lookup(b.data(), b.size(), &value));
 }
 
 // ---- HotPotato fidelity: modal peak within the reported bound -----------
