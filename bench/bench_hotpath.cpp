@@ -4,9 +4,10 @@
 // the schedulers sit in all day — steady-state solve, MatEx transient, exact
 // analytic peak, the Algorithm-1 rotation peak, and a whole Simulator
 // micro-step — and counts heap allocations per call with an instrumented
-// global operator new. Each numeric query is measured twice: through the
+// global operator new. Each solver query is measured twice: through the
 // legacy value-returning API (which allocates temporaries per call) and
-// through the in-place workspace kernels the hot path actually uses.
+// through the in-place workspace kernels the hot path actually uses. The
+// Algorithm-1 analyzer has only the workspace form.
 //
 // Emits BENCH_hotpath.json (override with --out PATH) so the perf trajectory
 // is tracked across PRs; --smoke cuts repetitions for the tier-1 ctest
@@ -312,16 +313,6 @@ int main(int argc, char** argv) {
             .temperature_c;
     });
 
-    // Algorithm 1: one realistic 8-slot ring on the 64-core chip.
-    core::PeakTemperatureAnalyzer analyzer(matex, 45.0, 0.3);
-    core::RotationRingSpec ring;
-    ring.cores = {27, 28, 36, 35, 34, 26, 18, 19};
-    ring.slot_power_w = {6.0, 5.5, 5.0, 0.3, 0.3, 4.0, 0.3, 0.3};
-    const std::vector<core::RotationRingSpec> rings = {ring};
-    measure("rotation_peak/legacy", smoke ? 5 : 200, [&] {
-        return analyzer.rotation_peak(rings, 0.5e-3, 2);
-    });
-
     std::printf("\n-- in-place workspace kernels (same queries) --\n");
     thermal::ThermalWorkspace ws;
     linalg::Vector out(model.node_count());
@@ -337,6 +328,13 @@ int main(int argc, char** argv) {
         matex.apply_exponential_into(t_init, 1e-4, ws, out);
         return out[0];
     });
+    // Algorithm 1 (workspace form only): one realistic 8-slot ring on the
+    // 64-core chip.
+    core::PeakTemperatureAnalyzer analyzer(matex, 45.0, 0.3);
+    core::RotationRingSpec ring;
+    ring.cores = {27, 28, 36, 35, 34, 26, 18, 19};
+    ring.slot_power_w = {6.0, 5.5, 5.0, 0.3, 0.3, 4.0, 0.3, 0.3};
+    const std::vector<core::RotationRingSpec> rings = {ring};
     core::PeakWorkspace peak_ws;
     measure("rotation_peak/workspace", smoke ? 5 : 200, [&] {
         return analyzer.rotation_peak(rings, 0.5e-3, 2, peak_ws);

@@ -59,8 +59,10 @@ BENCHMARK(BM_Algorithm1_DesignTime)->Unit(benchmark::kMillisecond);
 /// quantity).
 void BM_Algorithm1_RotationPeak_FullLoad(benchmark::State& state) {
     const auto rings = full_load_rings();
+    hp::core::PeakWorkspace ws;
     for (auto _ : state)
-        benchmark::DoNotOptimize(analyzer().rotation_peak(rings, kTau, 2));
+        benchmark::DoNotOptimize(
+            analyzer().rotation_peak(rings, kTau, 2, ws));
 }
 BENCHMARK(BM_Algorithm1_RotationPeak_FullLoad)->Unit(benchmark::kMicrosecond);
 
@@ -68,8 +70,10 @@ BENCHMARK(BM_Algorithm1_RotationPeak_FullLoad)->Unit(benchmark::kMicrosecond);
 void BM_Algorithm1_RotationPeak_Rings(benchmark::State& state) {
     auto rings = full_load_rings();
     rings.resize(static_cast<std::size_t>(state.range(0)));
+    hp::core::PeakWorkspace ws;
     for (auto _ : state)
-        benchmark::DoNotOptimize(analyzer().rotation_peak(rings, kTau, 2));
+        benchmark::DoNotOptimize(
+            analyzer().rotation_peak(rings, kTau, 2, ws));
 }
 BENCHMARK(BM_Algorithm1_RotationPeak_Rings)->DenseRange(1, 9, 2)
     ->Unit(benchmark::kMicrosecond);
@@ -83,8 +87,10 @@ void BM_Algorithm1_SchedulePeak_Delta(benchmark::State& state) {
         for (std::size_t c = e % 4; c < 64; c += 4) p[c] = 4.0;
         schedule.push_back(p);
     }
+    hp::core::PeakWorkspace ws;
     for (auto _ : state)
-        benchmark::DoNotOptimize(analyzer().schedule_peak(schedule, kTau, 2));
+        benchmark::DoNotOptimize(
+            analyzer().schedule_peak(schedule, kTau, 2, ws));
 }
 BENCHMARK(BM_Algorithm1_SchedulePeak_Delta)->RangeMultiplier(2)->Range(1, 16)
     ->Unit(benchmark::kMicrosecond);
@@ -92,8 +98,9 @@ BENCHMARK(BM_Algorithm1_SchedulePeak_Delta)->RangeMultiplier(2)->Range(1, 16)
 /// Static steady-state peak (the no-rotation path of the scheduler).
 void BM_Algorithm1_StaticPeak(benchmark::State& state) {
     hp::linalg::Vector power(64, 2.5);
+    hp::core::PeakWorkspace ws;
     for (auto _ : state)
-        benchmark::DoNotOptimize(analyzer().static_peak(power));
+        benchmark::DoNotOptimize(analyzer().static_peak(power, ws));
 }
 BENCHMARK(BM_Algorithm1_StaticPeak)->Unit(benchmark::kMicrosecond);
 

@@ -16,6 +16,7 @@ namespace {
 
 using hp::bench::testbed_16core;
 using hp::core::PeakTemperatureAnalyzer;
+using hp::core::PeakWorkspace;
 using hp::core::RotationRingSpec;
 using hp::linalg::Vector;
 
@@ -78,9 +79,10 @@ int main() {
 
         const auto t0 = clock::now();
         double analytic = 0.0;
+        PeakWorkspace ws;
         constexpr int kReps = 50;
         for (int i = 0; i < kReps; ++i)
-            analytic = analyzer.schedule_peak(schedule, tau, 4);
+            analytic = analyzer.schedule_peak(schedule, tau, 4, ws);
         const auto t1 = clock::now();
         const double brute = brute_peak(schedule, tau, 4, 12.0);
         const auto t2 = clock::now();

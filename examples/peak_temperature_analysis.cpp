@@ -28,6 +28,7 @@ int main() {
     constexpr double kIdle = 0.3;
     constexpr double kDtm = 70.0;
     const core::PeakTemperatureAnalyzer analyzer(solver, kAmbient, kIdle);
+    core::PeakWorkspace ws;  // query scratch, reused by every query below
 
     // The centre ring of the 16-core chip (cores 5-6-10-9 in cycle order).
     const arch::AmdRing& ring = chip.rings().front();
@@ -50,14 +51,14 @@ int main() {
 
         std::printf("  %-8zu", threads);
         for (double tau : taus) {
-            const double peak = analyzer.rotation_peak({spec}, tau, 4);
+            const double peak = analyzer.rotation_peak({spec}, tau, 4, ws);
             std::printf(" | %8.2f %s", peak, peak < kDtm ? "ok " : "HOT");
         }
         // Static placement (no rotation) for comparison.
         linalg::Vector power(chip.core_count(), kIdle);
         for (std::size_t t = 0; t < threads; ++t)
             power[ring.cores[t]] = 6.0;
-        const double st = analyzer.static_peak(power);
+        const double st = analyzer.static_peak(power, ws);
         std::printf(" | %.2f %s\n", st, st < kDtm ? "ok" : "HOT");
     }
 
@@ -68,7 +69,7 @@ int main() {
     std::printf("\nslowest thermally-safe rotation for 2x6W threads: ");
     double chosen = -1.0;
     for (double tau = 8e-3; tau >= 0.1e-3; tau *= 0.5) {
-        if (analyzer.rotation_peak({two}, tau, 4) < kDtm - 1.0) {
+        if (analyzer.rotation_peak({two}, tau, 4, ws) < kDtm - 1.0) {
             chosen = tau;
             break;
         }
@@ -77,21 +78,6 @@ int main() {
         std::printf("tau = %.3f ms\n", chosen * 1e3);
     else
         std::printf("none - needs a bigger ring or DVFS\n");
-
-    // Per-ring rotation intervals (extension beyond the paper's single tau):
-    // the hot inner ring must rotate fast, but a warm middle ring can rotate
-    // an order of magnitude slower at almost no thermal cost.
-    core::RotationRingSpec middle;
-    middle.cores = chip.rings()[1].cores;
-    middle.slot_power_w.assign(middle.cores.size(), kIdle);
-    middle.slot_power_w[0] = 5.0;
-    std::printf("\nper-ring tau (inner 2x6W + middle 1x5W):\n");
-    for (double mid_tau : {0.5e-3, 4e-3, 8e-3})
-        std::printf("  inner 0.5 ms, middle %5.1f ms -> peak %.2f C\n",
-                    mid_tau * 1e3,
-                    analyzer.rotation_peak({two, middle},
-                                           std::vector<double>{0.5e-3, mid_tau},
-                                           4));
 
     // Design-time planning (Algorithm 2 offline): where should a mixed
     // thread set live, and how fast should it rotate?

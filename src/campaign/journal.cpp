@@ -21,20 +21,6 @@ namespace {
 constexpr char kSep = '\x1f';  ///< field separator (ASCII unit separator)
 constexpr const char* kMagic = "hpjournal1";
 
-std::uint64_t fnv1a64(const char* data, std::size_t size,
-                      std::uint64_t hash = 14695981039346656037ull) {
-    for (std::size_t i = 0; i < size; ++i) {
-        hash ^= static_cast<unsigned char>(data[i]);
-        hash *= 1099511628211ull;
-    }
-    return hash;
-}
-
-std::uint64_t fnv1a64(const std::string& text,
-                      std::uint64_t hash = 14695981039346656037ull) {
-    return fnv1a64(text.data(), text.size(), hash);
-}
-
 std::string hex64(std::uint64_t v) {
     char buf[17];
     std::snprintf(buf, sizeof buf, "%016llx",
@@ -155,6 +141,14 @@ private:
 }
 
 }  // namespace
+
+std::uint64_t fnv1a64(std::string_view bytes, std::uint64_t hash) {
+    for (char c : bytes) {
+        hash ^= static_cast<unsigned char>(c);
+        hash *= 1099511628211ull;
+    }
+    return hash;
+}
 
 // ---- grid signature -------------------------------------------------------
 
@@ -402,8 +396,7 @@ JournalContents scan_journal(const std::string& path,
             const std::size_t space = line.find(' ');
             const bool well_formed =
                 complete && space == 16 &&
-                hex64(fnv1a64(line.data() + space + 1,
-                              line.size() - space - 1)) ==
+                hex64(fnv1a64(std::string_view(line).substr(space + 1))) ==
                     line.substr(0, 16);
             if (!well_formed) {
                 // A torn/corrupt FINAL line is the expected crash artifact:

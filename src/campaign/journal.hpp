@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "campaign/campaign.hpp"
@@ -20,6 +21,12 @@ class JournalError : public std::runtime_error {
 public:
     using std::runtime_error::runtime_error;
 };
+
+/// 64-bit FNV-1a over @p bytes, continuing from @p hash: the campaign
+/// layer's one string hash (journal line checksums, grid_signature, retry
+/// jitter). Its values are on disk in every journal, so they never change.
+std::uint64_t fnv1a64(std::string_view bytes,
+                      std::uint64_t hash = 14695981039346656037ull);
 
 /// Order- and thread-count-independent fingerprint of a campaign grid:
 /// FNV-1a over run_count and every RunKey (index, labels, seed). A journal

@@ -354,17 +354,6 @@ void PeakTemperatureAnalyzer::evaluate_periodic_max(
 
 double PeakTemperatureAnalyzer::schedule_peak(
     const std::vector<linalg::Vector>& core_power_per_epoch, double tau,
-    std::size_t samples_per_epoch) const {
-    // Delegate to the workspace overload with throwaway scratch; the
-    // workspace path is the single numeric implementation, so the overloads
-    // agree bit for bit by construction.
-    PeakWorkspace workspace;
-    return schedule_peak(core_power_per_epoch, tau, samples_per_epoch,
-                         workspace);
-}
-
-double PeakTemperatureAnalyzer::schedule_peak(
-    const std::vector<linalg::Vector>& core_power_per_epoch, double tau,
     std::size_t samples_per_epoch, PeakWorkspace& workspace) const {
     const thermal::ThermalModel& model = solver_->model();
     const std::size_t delta = core_power_per_epoch.size();
@@ -382,87 +371,33 @@ double PeakTemperatureAnalyzer::schedule_peak(
     return peak;
 }
 
-double PeakTemperatureAnalyzer::static_peak(
-    const linalg::Vector& core_power) const {
-    PeakWorkspace workspace;
-    return static_peak(core_power, workspace);
-}
-
 double PeakTemperatureAnalyzer::static_peak(const linalg::Vector& core_power,
-                                            PeakWorkspace& workspace) const {
+                                            PeakWorkspace& workspace,
+                                            double* core_peak_c) const {
     const thermal::ThermalModel& model = solver_->model();
     model.pad_power_into(core_power, workspace.node_power_);
     solver_->steady_state_into(workspace.node_power_, ambient_c_,
                                workspace.thermal_, workspace.t_idle_);
     double peak = -1e300;
-    for (std::size_t i = 0; i < model.core_count(); ++i)
+    for (std::size_t i = 0; i < model.core_count(); ++i) {
         peak = std::max(peak, workspace.t_idle_[i]);
-    return peak;
-}
-
-double PeakTemperatureAnalyzer::static_peak_map(
-    const linalg::Vector& core_power, PeakWorkspace& workspace,
-    double* core_peak_c) const {
-    // Run the scalar query, then copy the per-core steady state straight out
-    // of the workspace it left behind — same operations, same results.
-    const double peak = static_peak(core_power, workspace);
-    const std::size_t n = solver_->model().core_count();
-    for (std::size_t i = 0; i < n; ++i)
-        core_peak_c[i] = workspace.t_idle_[i];
+        if (core_peak_c) core_peak_c[i] = workspace.t_idle_[i];
+    }
     return peak;
 }
 
 double PeakTemperatureAnalyzer::rotation_peak(
-    const std::vector<RotationRingSpec>& rings, double tau,
-    std::size_t samples_per_epoch) const {
-    PeakWorkspace workspace;
-    return rotation_peak(rings, tau, samples_per_epoch, workspace);
-}
-
-double PeakTemperatureAnalyzer::rotation_peak_map(
     const std::vector<RotationRingSpec>& rings, double tau,
     std::size_t samples_per_epoch, PeakWorkspace& workspace,
     double* core_peak_c) const {
-    // Scalar query first; its final reduction ran over exactly the
-    // t_idle_ + extra_ sums copied out here, so map and scalar agree bit for
-    // bit.
-    const double peak = rotation_peak(rings, tau, samples_per_epoch,
-                                      workspace);
-    const std::size_t n = solver_->model().core_count();
-    for (std::size_t i = 0; i < n; ++i)
-        core_peak_c[i] = workspace.t_idle_[i] + workspace.extra_[i];
+    double peak = 0.0;
+    rotation_peak_tau_batch(rings, &tau, 1, samples_per_epoch, workspace,
+                            &peak);
+    // The scalar was reduced over exactly these baseline + response sums.
+    if (core_peak_c)
+        for (std::size_t i = 0; i < solver_->model().core_count(); ++i)
+            core_peak_c[i] = workspace.t_idle_[i] + workspace.extra_batch_[i];
     return peak;
-}
-
-double PeakTemperatureAnalyzer::rotation_peak(
-    const std::vector<RotationRingSpec>& rings, double tau,
-    std::size_t samples_per_epoch, PeakWorkspace& workspace) const {
-    ensure_size(workspace.extra_, solver_->model().core_count());
-    ring_responses(rings, &tau, /*ring_stride=*/0, /*tau_count=*/1,
-                   samples_per_epoch, workspace, workspace.extra_.data());
-    return max_with_baseline(workspace, workspace.extra_.data());
-}
-
-double PeakTemperatureAnalyzer::rotation_peak(
-    const std::vector<RotationRingSpec>& rings,
-    const std::vector<double>& tau_per_ring,
-    std::size_t samples_per_epoch) const {
-    PeakWorkspace workspace;
-    return rotation_peak(rings, tau_per_ring, samples_per_epoch, workspace);
-}
-
-double PeakTemperatureAnalyzer::rotation_peak(
-    const std::vector<RotationRingSpec>& rings,
-    const std::vector<double>& tau_per_ring, std::size_t samples_per_epoch,
-    PeakWorkspace& workspace) const {
-    if (tau_per_ring.size() != rings.size())
-        throw std::invalid_argument(
-            "rotation_peak: one tau per ring required");
-    ensure_size(workspace.extra_, solver_->model().core_count());
-    ring_responses(rings, tau_per_ring.data(), /*ring_stride=*/1,
-                   /*tau_count=*/1, samples_per_epoch, workspace,
-                   workspace.extra_.data());
-    return max_with_baseline(workspace, workspace.extra_.data());
 }
 
 void PeakTemperatureAnalyzer::rotation_peak_tau_batch(
@@ -470,20 +405,21 @@ void PeakTemperatureAnalyzer::rotation_peak_tau_batch(
     std::size_t tau_count, std::size_t samples_per_epoch,
     PeakWorkspace& workspace, double* peaks) const {
     if (tau_count == 0) return;
+    ring_responses(rings, taus, tau_count, samples_per_epoch, workspace);
     const std::size_t n = solver_->model().core_count();
-    std::pmr::vector<double>& extra = workspace.extra_batch_;
-    if (extra.size() < tau_count * n) extra.resize(tau_count * n);
-    ring_responses(rings, taus, /*ring_stride=*/0, tau_count,
-                   samples_per_epoch, workspace, extra.data());
-    for (std::size_t t = 0; t < tau_count; ++t)
-        peaks[t] = max_with_baseline(workspace, extra.data() + t * n);
+    for (std::size_t t = 0; t < tau_count; ++t) {
+        const double* extra = workspace.extra_batch_.data() + t * n;
+        double peak = -1e300;
+        for (std::size_t i = 0; i < n; ++i)
+            peak = std::max(peak, workspace.t_idle_[i] + extra[i]);
+        peaks[t] = peak;
+    }
 }
 
 void PeakTemperatureAnalyzer::ring_responses(
     const std::vector<RotationRingSpec>& rings, const double* taus,
-    std::size_t ring_stride, std::size_t tau_count,
-    std::size_t samples_per_epoch, PeakWorkspace& workspace,
-    double* extra) const {
+    std::size_t tau_count, std::size_t samples_per_epoch,
+    PeakWorkspace& workspace) const {
     const thermal::ThermalModel& model = solver_->model();
     const std::size_t n = model.core_count();
     const std::size_t big_n = model.node_count();
@@ -496,6 +432,8 @@ void PeakTemperatureAnalyzer::ring_responses(
     solver_->steady_state_into(workspace.node_power_, ambient_c_,
                                workspace.thermal_, workspace.t_idle_);
 
+    std::pmr::vector<double>& extra = workspace.extra_batch_;
+    if (extra.size() < tau_count * n) extra.resize(tau_count * n);
     for (std::size_t i = 0; i < tau_count * n; ++i) extra[i] = 0.0;
     // Grow the sample staging/projection buffers once for the largest ring:
     // rings are visited smallest-first, so growing lazily inside
@@ -533,24 +471,16 @@ void PeakTemperatureAnalyzer::ring_responses(
             }
         build_modal_targets(workspace.deltas_.data(), k, workspace);
         for (std::size_t t = 0; t < tau_count; ++t) {
-            const double tau = taus[r * ring_stride + t];
+            const double tau = taus[t];
             if (tau <= 0.0 || samples_per_epoch == 0)
                 throw std::invalid_argument("rotation_peak: bad arguments");
             evaluate_periodic_max(k, tau, samples_per_epoch, workspace,
                                   workspace.core_max_);
-            double* extra_t = extra + t * n;
+            double* extra_t = extra.data() + t * n;
             for (std::size_t i = 0; i < n; ++i)
                 extra_t[i] += workspace.core_max_[i];
         }
     }
-}
-
-double PeakTemperatureAnalyzer::max_with_baseline(
-    const PeakWorkspace& workspace, const double* extra) const {
-    double peak = -1e300;
-    for (std::size_t i = 0; i < solver_->model().core_count(); ++i)
-        peak = std::max(peak, workspace.t_idle_[i] + extra[i]);
-    return peak;
 }
 
 void PeakTemperatureAnalyzer::static_peak_batch(const double* core_powers,

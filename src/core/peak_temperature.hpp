@@ -22,11 +22,11 @@ struct RotationRingSpec {
 
 /// Caller-owned scratch for PeakTemperatureAnalyzer queries.
 ///
-/// Every run-time entry point has an overload taking one of these; after the
-/// first (sizing) call the query runs without heap allocations — the
-/// modal y/z arrays, geometric e^{λτ} tables and per-ring delta vectors are
-/// all reused. Buffer lists only ever grow, so alternating between rings of
-/// different sizes does not re-allocate. A workspace may be reused across
+/// Every run-time query takes one of these; after the first (sizing) call
+/// the query runs without heap allocations — the modal y/z arrays,
+/// geometric e^{λτ} tables and per-ring delta vectors are all reused.
+/// Buffer lists only ever grow, so alternating between rings of different
+/// sizes does not re-allocate. A workspace may be reused across
 /// analyzers/models (buffers re-size on demand) but must not be shared
 /// between threads; the analyzer itself stays immutable and shareable.
 class PeakWorkspace {
@@ -44,7 +44,6 @@ public:
           zs_batch_(mr),
           resp_batch_(mr),
           core_max_(mr),
-          extra_(mr),
           t_idle_(mr),
           core_power_(mr),
           node_power_(mr),
@@ -72,7 +71,6 @@ private:
     std::pmr::vector<double> zs_batch_;     ///< RHS-major modal samples
     std::pmr::vector<double> resp_batch_;   ///< RHS-major projected responses
     linalg::Vector core_max_;
-    linalg::Vector extra_;
     linalg::Vector t_idle_;
     linalg::Vector core_power_;
     linalg::Vector node_power_;
@@ -117,11 +115,10 @@ private:
 /// historical dense results bit for bit.
 ///
 /// Thread safety: immutable after construction. The α/β eigen-tables are
-/// built in the constructor and the analysis entry points are const and
-/// allocate only locals, so one analyzer may serve concurrent campaign
-/// workers sharing a campaign::StudySetup. The overloads taking a
-/// PeakWorkspace preserve this: all mutable state lives in the caller's
-/// workspace, so concurrent queries remain safe with one workspace per
+/// built in the constructor and the analysis entry points are const, so one
+/// analyzer may serve concurrent campaign workers sharing a
+/// campaign::StudySetup: all mutable state lives in the caller's
+/// PeakWorkspace, so concurrent queries are safe with one workspace per
 /// thread.
 class PeakTemperatureAnalyzer {
 public:
@@ -136,8 +133,9 @@ public:
 
     /// Exact periodic-steady-state node temperatures at the end of each
     /// epoch for an explicit periodic schedule: core_power_per_epoch[f] is
-    /// held for @p tau seconds, the whole pattern repeats. Used by
-    /// schedule_peak and by the validation tests.
+    /// held for @p tau seconds, the whole pattern repeats. Dense and
+    /// allocating on purpose: the validation tests use it as the reference
+    /// the sampled queries below are checked against.
     std::vector<linalg::Vector> boundary_temperatures(
         const std::vector<linalg::Vector>& core_power_per_epoch,
         double tau) const;
@@ -146,37 +144,31 @@ public:
     /// @p samples_per_epoch points inside every epoch (the end point plus
     /// interior points — per-node transients are not monotonic, so pure
     /// boundary sampling can shave an interior hump).
-    double schedule_peak(
-        const std::vector<linalg::Vector>& core_power_per_epoch, double tau,
-        std::size_t samples_per_epoch = 2) const;
-
-    /// schedule_peak reusing caller-owned scratch (zero heap allocations
-    /// once @p workspace is warm). Results are bit-identical to the
-    /// allocating overload.
     double schedule_peak(const std::vector<linalg::Vector>& core_power_per_epoch,
                          double tau, std::size_t samples_per_epoch,
                          PeakWorkspace& workspace) const;
 
     /// Steady-state peak core temperature of a static (non-rotating) power
-    /// assignment.
-    double static_peak(const linalg::Vector& core_power) const;
-
-    /// static_peak reusing caller-owned scratch.
+    /// assignment. A non-null @p core_peak_c (core_count() entries,
+    /// caller-sized) additionally receives every core's steady-state
+    /// temperature; the return value is the max over exactly those entries,
+    /// and equals the value returned without a map, bit for bit. The advice
+    /// server's responses carry that map.
     double static_peak(const linalg::Vector& core_power,
-                       PeakWorkspace& workspace) const;
+                       PeakWorkspace& workspace,
+                       double* core_peak_c = nullptr) const;
 
-    /// static_peak that additionally writes the steady-state temperature of
-    /// every core into @p core_peak_c (core_count() entries, caller-sized).
-    /// The scalar result and the map entries are exactly what static_peak
-    /// computes — the map is copied out of the same workspace state, so this
-    /// overload is bit-identical to the scalar one. Used by the advice
-    /// server, whose responses carry the full peak map.
-    double static_peak_map(const linalg::Vector& core_power,
-                           PeakWorkspace& workspace,
-                           double* core_peak_c) const;
+    /// static_peak over @p nrhs candidate core-power vectors in one batched
+    /// steady-state solve (the multi-candidate slate of HotPotato's
+    /// rotation-off placement scan). @p core_powers is RHS-major — candidate
+    /// r occupies [r·core_count(), (r+1)·core_count()). peaks[r] is
+    /// bit-identical to static_peak(candidate r, workspace).
+    void static_peak_batch(const double* core_powers, std::size_t nrhs,
+                           PeakWorkspace& workspace, double* peaks) const;
 
     /// Peak core temperature with every listed ring rotating synchronously
-    /// at interval @p tau and all remaining cores idle.
+    /// at interval @p tau and all remaining cores idle — the form the
+    /// HotPotato candidate loop evaluates hundreds of times per epoch.
     ///
     /// Rings generally have coprime sizes, so the exact joint schedule only
     /// repeats after lcm(sizes) epochs; instead of materialising that, the
@@ -186,40 +178,15 @@ public:
     /// single occupied ring this is exact at the sample points; for multiple
     /// rings it is a safe upper bound whose slack is the (tiny) cross-ring
     /// ripple correlation.
-    double rotation_peak(const std::vector<RotationRingSpec>& rings,
-                         double tau, std::size_t samples_per_epoch = 2) const;
-
-    /// rotation_peak (uniform τ) reusing caller-owned scratch — the form the
-    /// HotPotato candidate loop evaluates hundreds of times per epoch.
+    ///
+    /// A non-null @p core_peak_c (core_count() entries, caller-sized)
+    /// receives each core's sampled peak — all-idle baseline plus its summed
+    /// per-ring response maxima; the return value is the max over exactly
+    /// those sums, and equals the value returned without a map, bit for bit.
     double rotation_peak(const std::vector<RotationRingSpec>& rings,
                          double tau, std::size_t samples_per_epoch,
-                         PeakWorkspace& workspace) const;
-
-    /// rotation_peak (uniform τ) that additionally writes each core's
-    /// sampled peak — all-idle baseline plus its summed per-ring periodic
-    /// response maxima — into @p core_peak_c (core_count() entries,
-    /// caller-sized). Bit-identical to the scalar overload: the map is read
-    /// out of the same workspace state the scalar max runs over.
-    double rotation_peak_map(const std::vector<RotationRingSpec>& rings,
-                             double tau, std::size_t samples_per_epoch,
-                             PeakWorkspace& workspace,
-                             double* core_peak_c) const;
-
-    /// Per-ring rotation intervals: rings[i] rotates every tau_per_ring[i]
-    /// seconds. The superposition decomposition makes heterogeneous
-    /// cadences free — each ring's periodic response is solved at its own
-    /// interval — enabling e.g. slow rotation on thermally-unconstrained
-    /// outer rings while the centre rotates fast (an extension beyond the
-    /// paper's single global τ).
-    double rotation_peak(const std::vector<RotationRingSpec>& rings,
-                         const std::vector<double>& tau_per_ring,
-                         std::size_t samples_per_epoch = 2) const;
-
-    /// Per-ring-τ rotation_peak reusing caller-owned scratch.
-    double rotation_peak(const std::vector<RotationRingSpec>& rings,
-                         const std::vector<double>& tau_per_ring,
-                         std::size_t samples_per_epoch,
-                         PeakWorkspace& workspace) const;
+                         PeakWorkspace& workspace,
+                         double* core_peak_c = nullptr) const;
 
     /// Evaluates rotation_peak for the same ring set at @p tau_count
     /// different rotation intervals in one pass: the all-idle baseline and
@@ -235,29 +202,16 @@ public:
                                  PeakWorkspace& workspace,
                                  double* peaks) const;
 
-    /// static_peak over @p nrhs candidate core-power vectors in one batched
-    /// steady-state solve (the multi-candidate slate of HotPotato's
-    /// rotation-off placement scan). @p core_powers is RHS-major — candidate
-    /// r occupies [r·core_count(), (r+1)·core_count()). peaks[r] is
-    /// bit-identical to static_peak(candidate r, workspace).
-    void static_peak_batch(const double* core_powers, std::size_t nrhs,
-                           PeakWorkspace& workspace, double* peaks) const;
-
 private:
-    /// The ring loop behind every rotation query: the all-idle baseline
+    /// The ring loop behind both rotation queries: the all-idle baseline
     /// into workspace.t_idle_, then each ring's periodic response maxima at
-    /// @p tau_count rotation intervals summed into @p extra (RHS-major,
-    /// tau_count × core_count(), overwritten). Ring r at slot t rotates every
-    /// taus[r·ring_stride + t] seconds: stride 1 with one τ is the per-ring
-    /// query, stride 0 a shared τ (one) or τ batch (many).
+    /// the @p tau_count rotation intervals @p taus summed into
+    /// workspace.extra_batch_ (RHS-major, tau_count × core_count(),
+    /// overwritten).
     void ring_responses(const std::vector<RotationRingSpec>& rings,
-                        const double* taus, std::size_t ring_stride,
-                        std::size_t tau_count, std::size_t samples_per_epoch,
-                        PeakWorkspace& workspace, double* extra) const;
-
-    /// max over cores of workspace.t_idle_ + @p extra.
-    double max_with_baseline(const PeakWorkspace& workspace,
-                             const double* extra) const;
+                        const double* taus, std::size_t tau_count,
+                        std::size_t samples_per_epoch,
+                        PeakWorkspace& workspace) const;
 
     /// τ-independent half of a periodic response: fills workspace.y_
     /// with the modal epoch targets y_f = β·P_f. Splitting this out lets

@@ -19,27 +19,39 @@ double RotationPlanner::predicted_peak_c(
     const std::vector<ThreadEstimate>& threads,
     const std::vector<std::size_t>& ring_of_thread, bool rotation_on,
     double tau_s) const {
+    Scratch scratch;
+    return predicted_peak_c(threads, threads.size(), ring_of_thread,
+                            rotation_on, tau_s, scratch);
+}
+
+double RotationPlanner::predicted_peak_c(
+    const std::vector<ThreadEstimate>& threads, std::size_t thread_count,
+    const std::vector<std::size_t>& ring_of_thread, bool rotation_on,
+    double tau_s, Scratch& scratch) const {
     // Threads fill their ring's slots in input order.
-    std::vector<RotationRingSpec> specs;
+    std::vector<RotationRingSpec>& specs = scratch.specs;
     idle_ring_specs(chip_->rings(), analyzer_->idle_power_w(), specs);
-    std::vector<std::size_t> next_slot(specs.size(), 0);
-    for (std::size_t i = 0; i < threads.size(); ++i) {
+    scratch.next_slot.assign(specs.size(), 0);
+    for (std::size_t i = 0; i < thread_count; ++i) {
         const std::size_t r = ring_of_thread[i];
         if (r >= specs.size())
             throw std::invalid_argument("RotationPlanner: bad ring index");
-        if (next_slot[r] >= specs[r].slot_power_w.size())
+        if (scratch.next_slot[r] >= specs[r].slot_power_w.size())
             throw std::invalid_argument(
                 "RotationPlanner: ring over capacity");
-        specs[r].slot_power_w[next_slot[r]++] = threads[i].power_w;
+        specs[r].slot_power_w[scratch.next_slot[r]++] = threads[i].power_w;
     }
     if (rotation_on)
         return analyzer_->rotation_peak(specs, tau_s,
-                                        ladder_.samples_per_epoch());
+                                        ladder_.samples_per_epoch(),
+                                        scratch.workspace);
     // Pinned execution: materialise the slot assignment as a static vector.
-    linalg::Vector power(chip_->core_count());
-    scatter_static_power(specs, analyzer_->idle_power_w(), power.data(),
-                         power.size());
-    return analyzer_->static_peak(power);
+    if (scratch.static_power.size() != chip_->core_count())
+        scratch.static_power.assign(chip_->core_count());
+    scatter_static_power(specs, analyzer_->idle_power_w(),
+                         scratch.static_power.data(),
+                         scratch.static_power.size());
+    return analyzer_->static_peak(scratch.static_power, scratch.workspace);
 }
 
 double RotationPlanner::throughput_score(
@@ -79,6 +91,7 @@ RotationPlan RotationPlanner::plan_greedy(
     std::vector<std::size_t> assignment;
     // Start at the rung closest to the paper's 0.5 ms default.
     std::size_t tau_idx = ladder_.nearest(0.5e-3);
+    Scratch scratch;
 
     for (std::size_t i = 0; i < threads.size(); ++i) {
         bool placed = false;
@@ -86,10 +99,8 @@ RotationPlan RotationPlanner::plan_greedy(
             if (counts[r] >= rings[r].cores.size()) continue;
             assignment.push_back(r);
             ++counts[r];
-            const std::vector<ThreadEstimate> so_far(threads.begin(),
-                                                     threads.begin() + i + 1);
-            if (predicted_peak_c(so_far, assignment, true,
-                                 ladder_[tau_idx]) < limit) {
+            if (predicted_peak_c(threads, i + 1, assignment, true,
+                                 ladder_[tau_idx], scratch) < limit) {
                 placed = true;
             } else {
                 assignment.pop_back();
@@ -107,14 +118,14 @@ RotationPlan RotationPlanner::plan_greedy(
             }
             // The fastest rung is taken unprobed: the repair pass below
             // re-evaluates the final configuration anyway.
-            const std::vector<ThreadEstimate> so_far(threads.begin(),
-                                                     threads.begin() + i + 1);
             tau_idx = ladder_
                           .descend(
                               tau_idx,
                               [&](bool on, std::size_t rung) {
-                                  return predicted_peak_c(so_far, assignment,
-                                                          on, ladder_[rung]);
+                                  return predicted_peak_c(threads, i + 1,
+                                                          assignment, on,
+                                                          ladder_[rung],
+                                                          scratch);
                               },
                               safe, /*probe_fastest=*/false)
                           .rung;
@@ -126,7 +137,8 @@ RotationPlan RotationPlanner::plan_greedy(
     // threads outward and speed the rotation until headroom appears.
     const double f_max = chip_->dvfs().f_max_hz;
     const auto peak_of = [&](bool on, std::size_t rung) {
-        return predicted_peak_c(threads, assignment, on, ladder_[rung]);
+        return predicted_peak_c(threads, threads.size(), assignment, on,
+                                ladder_[rung], scratch);
     };
     double peak = peak_of(true, tau_idx);
     std::size_t guard = threads.size() * rings.size();
@@ -168,8 +180,9 @@ RotationPlan RotationPlanner::plan_greedy(
     plan.ring_of_thread = std::move(assignment);
     plan.rotation_on = setting.rotation_on;
     plan.tau_s = ladder_[setting.rung];
-    plan.predicted_peak_c = predicted_peak_c(threads, plan.ring_of_thread,
-                                             plan.rotation_on, plan.tau_s);
+    plan.predicted_peak_c =
+        predicted_peak_c(threads, threads.size(), plan.ring_of_thread,
+                         plan.rotation_on, plan.tau_s, scratch);
     plan.thermally_safe = plan.predicted_peak_c < limit;
     plan.throughput_score = throughput_score(threads, plan.ring_of_thread,
                                              plan.rotation_on, plan.tau_s);
@@ -192,6 +205,7 @@ RotationPlan RotationPlanner::plan_exhaustive(
 
     std::vector<std::size_t> assignment(threads.size(), 0);
     std::vector<std::size_t> counts(rings.size(), 0);
+    Scratch scratch;
 
     const auto evaluate = [&]() {
         // Rotation settings: pinned, or each ladder rung.
@@ -203,7 +217,8 @@ RotationPlan RotationPlanner::plan_exhaustive(
             plan.rotation_on = rotation_on;
             plan.tau_s = tau;
             plan.predicted_peak_c =
-                predicted_peak_c(threads, assignment, rotation_on, tau);
+                predicted_peak_c(threads, threads.size(), assignment,
+                                 rotation_on, tau, scratch);
             plan.thermally_safe = plan.predicted_peak_c < limit;
             plan.throughput_score =
                 throughput_score(threads, assignment, rotation_on, tau);

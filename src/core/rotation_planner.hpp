@@ -78,6 +78,23 @@ public:
                                  std::size_t max_threads = 10) const;
 
 private:
+    /// Per-plan scratch, owned by one plan_greedy / plan_exhaustive call so
+    /// the planner itself stays const and shareable across threads.
+    struct Scratch {
+        std::vector<RotationRingSpec> specs;
+        std::vector<std::size_t> next_slot;
+        linalg::Vector static_power;
+        PeakWorkspace workspace;
+    };
+
+    /// predicted_peak_c of the first @p thread_count threads and
+    /// assignments, evaluated on @p scratch.
+    double predicted_peak_c(const std::vector<ThreadEstimate>& threads,
+                            std::size_t thread_count,
+                            const std::vector<std::size_t>& ring_of_thread,
+                            bool rotation_on, double tau_s,
+                            Scratch& scratch) const;
+
     const arch::ManyCore* chip_;
     const perf::IntervalPerformanceModel* perf_;
     const PeakTemperatureAnalyzer* analyzer_;

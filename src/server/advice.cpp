@@ -133,7 +133,7 @@ AdviceResponse advise(const AdviceBundle& bundle,
         // the same deterministic computation the (possibly cached) scan
         // value came from, so the response carries identical bits either
         // way.
-        response.predicted_peak_c = analyzer.static_peak_map(
+        response.predicted_peak_c = analyzer.static_peak(
             scratch.static_power_, scratch.workspace_, scratch.map_.data());
         response.peak_core_c = scratch.map_;
         return response;
@@ -157,8 +157,8 @@ AdviceResponse advise(const AdviceBundle& bundle,
     response.rotation_on = 1;
     response.tau_s = ladder[scan.rung];
     response.predicted_peak_c =
-        analyzer.rotation_peak_map(scratch.rings_, response.tau_s, samples,
-                                   scratch.workspace_, scratch.map_.data());
+        analyzer.rotation_peak(scratch.rings_, response.tau_s, samples,
+                               scratch.workspace_, scratch.map_.data());
     response.peak_core_c = scratch.map_;
     response.thermally_safe =
         (scan.peak_c < limit || response.predicted_peak_c < limit) ? 1 : 0;

@@ -75,8 +75,9 @@ public:
                           std::to_string(size_ - pos_) +
                           " byte(s) past the last field");
     }
-
-private:
+    /// Throws the truncation error unless @p n more bytes remain. Array
+    /// decoders check the whole array before reserving for its untrusted
+    /// count, so a short frame cannot make them allocate.
     void need(std::size_t n, const char* what) {
         if (size_ - pos_ < n)
             HP_PROTO_FAIL("truncated payload: need " + std::to_string(n) +
@@ -84,6 +85,8 @@ private:
                           std::to_string(pos_) + " of " +
                           std::to_string(size_));
     }
+
+private:
     const std::uint8_t* data_;
     std::size_t size_;
     std::size_t pos_ = 0;
@@ -154,6 +157,7 @@ AdviceRequest decode_request(const std::uint8_t* payload, std::size_t size) {
     if (threads > kMaxThreads)
         HP_PROTO_FAIL("thread count " + std::to_string(threads) +
                       " exceeds cap " + std::to_string(kMaxThreads));
+    c.need(std::size_t{threads} * 8, "thread powers");
     request.thread_power_w.reserve(threads);
     for (std::uint32_t i = 0; i < threads; ++i)
         request.thread_power_w.push_back(c.f64());
@@ -161,6 +165,7 @@ AdviceRequest decode_request(const std::uint8_t* payload, std::size_t size) {
     if (taus > kMaxTauGrid)
         HP_PROTO_FAIL("tau grid size " + std::to_string(taus) +
                       " exceeds cap " + std::to_string(kMaxTauGrid));
+    c.need(std::size_t{taus} * 8, "tau grid");
     request.tau_grid_s.reserve(taus);
     for (std::uint32_t i = 0; i < taus; ++i)
         request.tau_grid_s.push_back(c.f64());
@@ -220,12 +225,14 @@ AdviceResponse decode_response(const std::uint8_t* payload, std::size_t size,
     const std::uint32_t threads = c.u32();
     if (threads > kMaxThreads)
         HP_PROTO_FAIL("response thread count exceeds cap");
+    c.need(std::size_t{threads} * 4, "core assignment");
     response.core_of_thread.reserve(threads);
     for (std::uint32_t i = 0; i < threads; ++i)
         response.core_of_thread.push_back(c.u32());
     const std::uint32_t cores = c.u32();
     if (cores > kMaxThreads)
         HP_PROTO_FAIL("response core count exceeds cap");
+    c.need(std::size_t{cores} * 8, "core peak map");
     response.peak_core_c.reserve(cores);
     for (std::uint32_t i = 0; i < cores; ++i)
         response.peak_core_c.push_back(c.f64());

@@ -8,8 +8,10 @@
 //    allocations on steps without scheduler events;
 //  * a HotPotato candidate evaluation (predict_peak: ring specs + Algorithm 1
 //    rotation_peak / static steady-state) performs no heap allocations;
-//  * the thermal _into kernels and the analyzer workspace overloads perform
-//    no heap allocations.
+//  * the thermal _into kernels and the analyzer queries perform no heap
+//    allocations;
+//  * the protocol decoders reject a short frame that claims a huge element
+//    count without reserving for it.
 //
 // Event steps (epochs, task arrival/finish, the first sizing pass) are
 // exempt: schedulers may allocate while making decisions; the per-step
@@ -22,6 +24,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <vector>
 
@@ -31,32 +34,41 @@
 #include "exec/scratch.hpp"
 #include "core/peak_temperature.hpp"
 #include "obs/recorder.hpp"
+#include "server/protocol.hpp"
 #include "sim/simulator.hpp"
 #include "thermal/workspace.hpp"
 #include "workload/benchmark.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
+std::atomic<std::uint64_t> g_alloc_bytes{0};
 std::uint64_t alloc_count() {
     return g_allocs.load(std::memory_order_relaxed);
+}
+std::uint64_t alloc_bytes() {
+    return g_alloc_bytes.load(std::memory_order_relaxed);
+}
+void count_alloc(std::size_t size) {
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+    g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
 }
 }  // namespace
 
 void* operator new(std::size_t size) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
+    count_alloc(size);
     if (void* p = std::malloc(size ? size : 1)) return p;
     throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
+    count_alloc(size);
     return std::malloc(size ? size : 1);
 }
 void* operator new[](std::size_t size, const std::nothrow_t& t) noexcept {
     return ::operator new(size, t);
 }
 void* operator new(std::size_t size, std::align_val_t align) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
+    count_alloc(size);
     if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
                                      size ? size : 1))
         return p;
@@ -453,6 +465,8 @@ TEST(AllocGuard, WarmedRotationPeakIsAllocationFree) {
     linalg::Vector static_power(setup.model().core_count(), 0.3);
     static_power[27] = 6.0;
 
+    std::vector<double> map(setup.model().core_count());
+
     (void)analyzer.rotation_peak(rings, 0.5e-3, 2, ws);  // warm
     (void)analyzer.static_peak(static_power, ws);
 
@@ -460,8 +474,37 @@ TEST(AllocGuard, WarmedRotationPeakIsAllocationFree) {
     for (int i = 0; i < 20; ++i) {
         (void)analyzer.rotation_peak(rings, 0.5e-3, 2, ws);
         (void)analyzer.static_peak(static_power, ws);
+        // The advice server's map-filling forms.
+        (void)analyzer.rotation_peak(rings, 0.5e-3, 2, ws, map.data());
+        (void)analyzer.static_peak(static_power, ws, map.data());
     }
     EXPECT_EQ(alloc_count() - before, 0u);
+}
+
+TEST(AllocGuard, ShortFramesClaimingHugeCountsAllocateLittle) {
+    // Frames whose element count is within the protocol cap but whose
+    // payload holds none of the elements: the decoder must throw the
+    // truncation error before reserving for the claimed count (65536
+    // doubles would be 512 KiB).
+    const std::uint32_t count = server::kMaxThreads;
+    // Request: empty config tag (u16 0), then the thread count.
+    std::vector<std::uint8_t> request(6, 0);
+    std::memcpy(request.data() + 2, &count, 4);
+    // Response: status ok, two flags, three doubles, then the thread count.
+    std::vector<std::uint8_t> response(31, 0);
+    std::memcpy(response.data() + 27, &count, 4);
+
+    std::uint64_t before = alloc_bytes();
+    EXPECT_THROW(
+        (void)server::decode_request(request.data(), request.size()),
+        server::ProtocolError);
+    EXPECT_LT(alloc_bytes() - before, 4096u);
+
+    before = alloc_bytes();
+    EXPECT_THROW((void)server::decode_response(response.data(),
+                                               response.size(), nullptr),
+                 server::ProtocolError);
+    EXPECT_LT(alloc_bytes() - before, 4096u);
 }
 
 }  // namespace

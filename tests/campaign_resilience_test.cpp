@@ -431,6 +431,13 @@ TEST(Journal, GridSignatureBindsTheSpec) {
               hp::campaign::grid_signature(b));
 }
 
+TEST(Journal, GridSignatureIsStableAcrossBuilds) {
+    // Journals record this value; a change would refuse every --resume of a
+    // journal written by an older build.
+    EXPECT_EQ(hp::campaign::grid_signature(tiny_spec()),
+              0xd172c4e150bc17ffull);
+}
+
 TEST(Journal, FileRoundTripTornTailAndCorruption) {
     const std::string path = temp_path("journal_roundtrip.hpj");
     std::filesystem::remove(path);

@@ -1,69 +1,11 @@
-// Tests for post-reproduction extensions: per-ring rotation intervals and
-// response-time percentile statistics.
+// Tests for post-reproduction extensions: response-time percentile
+// statistics.
 
 #include <gtest/gtest.h>
 
-#include "arch/manycore.hpp"
-#include "core/peak_temperature.hpp"
 #include "sim/types.hpp"
-#include "thermal/matex.hpp"
-#include "thermal/rc_network.hpp"
 
 namespace {
-
-using hp::arch::ManyCore;
-using hp::core::PeakTemperatureAnalyzer;
-using hp::core::RotationRingSpec;
-
-constexpr double kIdle = 0.3;
-
-struct Fixture {
-    ManyCore chip = ManyCore::paper_16core();
-    hp::thermal::ThermalModel model{chip.plan(), hp::thermal::RcNetworkConfig{}};
-    hp::thermal::MatExSolver solver{model};
-    PeakTemperatureAnalyzer analyzer{solver, 45.0, kIdle};
-
-    std::vector<RotationRingSpec> two_rings() const {
-        RotationRingSpec inner{chip.rings()[0].cores, {}};
-        inner.slot_power_w.assign(4, kIdle);
-        inner.slot_power_w[0] = 6.0;
-        inner.slot_power_w[1] = 6.0;
-        RotationRingSpec middle{chip.rings()[1].cores, {}};
-        middle.slot_power_w.assign(chip.rings()[1].cores.size(), kIdle);
-        middle.slot_power_w[0] = 5.0;
-        return {inner, middle};
-    }
-};
-
-TEST(PerRingTau, UniformOverloadMatchesScalarOverload) {
-    Fixture f;
-    const auto rings = f.two_rings();
-    const double scalar = f.analyzer.rotation_peak(rings, 0.5e-3, 4);
-    const double vectored =
-        f.analyzer.rotation_peak(rings, {0.5e-3, 0.5e-3}, 4);
-    EXPECT_NEAR(scalar, vectored, 1e-12);
-}
-
-TEST(PerRingTau, SlowOuterRingBarelyHurts) {
-    // Slowing only the (thermally unconstrained) middle ring costs far less
-    // peak temperature than slowing the hot inner ring.
-    Fixture f;
-    const auto rings = f.two_rings();
-    const double base = f.analyzer.rotation_peak(rings, {0.5e-3, 0.5e-3}, 4);
-    const double slow_outer =
-        f.analyzer.rotation_peak(rings, {0.5e-3, 8e-3}, 4);
-    const double slow_inner =
-        f.analyzer.rotation_peak(rings, {8e-3, 0.5e-3}, 4);
-    EXPECT_GT(slow_inner - base, 4.0 * (slow_outer - base));
-    EXPECT_GE(slow_outer, base - 1e-9);
-}
-
-TEST(PerRingTau, SizeMismatchThrows) {
-    Fixture f;
-    EXPECT_THROW((void)f.analyzer.rotation_peak(
-                     f.two_rings(), std::vector<double>{0.5e-3}, 4),
-                 std::invalid_argument);
-}
 
 // ---------------------------------------------------------- percentiles ---
 

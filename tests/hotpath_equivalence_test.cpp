@@ -16,11 +16,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <vector>
 
 #include "campaign/study_setup.hpp"
+#include "core/certify.hpp"
 #include "core/peak_temperature.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/lu.hpp"
@@ -185,27 +187,32 @@ TEST_P(HotpathThermalEquivalence, ApplyExponentialAndTransient) {
 }
 
 TEST_P(HotpathThermalEquivalence, PeakAnalyzerWorkspaceOverloads) {
+    // Every query on one warm workspace, reused across query kinds and ring
+    // sizes, must match the same query on a fresh workspace bit for bit.
     const campaign::StudySetup setup = make_setup(GetParam());
     const thermal::ThermalModel& model = setup.model();
     const std::size_t cores = model.core_count();
     const core::PeakTemperatureAnalyzer analyzer(setup.solver(), 45.0, 0.3);
-    core::PeakWorkspace ws;
+    core::PeakWorkspace warm;
 
-    // static_peak.
     const linalg::Vector core_power = test_core_power(cores);
-    EXPECT_EQ(analyzer.static_peak(core_power),
-              analyzer.static_peak(core_power, ws));
+    const auto static_fresh = [&] {
+        core::PeakWorkspace fresh;
+        return analyzer.static_peak(core_power, fresh);
+    };
 
     // schedule_peak: three-epoch rotating pattern.
     std::vector<linalg::Vector> epochs(3, linalg::Vector(cores, 0.3));
     epochs[0][0] = 6.0;
     epochs[1][cores / 2] = 6.0;
     epochs[2][cores - 1] = 6.0;
-    EXPECT_EQ(analyzer.schedule_peak(epochs, 1e-3, 3),
-              analyzer.schedule_peak(epochs, 1e-3, 3, ws));
+    const auto schedule_fresh = [&] {
+        core::PeakWorkspace fresh;
+        return analyzer.schedule_peak(epochs, 1e-3, 3, fresh);
+    };
 
-    // rotation_peak with two rings of coprime sizes, one of them idle, plus
-    // the uniform-τ and per-ring-τ forms.
+    // rotation_peak with two rings of coprime sizes, one of them idle, and
+    // with one wider ring.
     core::RotationRingSpec busy;
     busy.cores = {0, 1, 2, 3};
     busy.slot_power_w = {6.0, 5.0, 0.3, 4.0};
@@ -213,28 +220,28 @@ TEST_P(HotpathThermalEquivalence, PeakAnalyzerWorkspaceOverloads) {
     idle.cores = {cores - 1, cores - 2, cores - 3};
     idle.slot_power_w = {0.3, 0.3, 0.3};
     const std::vector<core::RotationRingSpec> rings = {busy, idle};
-
-    EXPECT_EQ(analyzer.rotation_peak(rings, 0.5e-3, 2),
-              analyzer.rotation_peak(rings, 0.5e-3, 2, ws));
-    const std::vector<double> taus = {0.5e-3, 2e-3};
-    EXPECT_EQ(analyzer.rotation_peak(rings, taus, 2),
-              analyzer.rotation_peak(rings, taus, 2, ws));
-
-    // Reusing the (now warm, ring-sized) workspace on a different query must
-    // not leak state: alternate ring sizes and repeat every query.
     core::RotationRingSpec wide;
     wide.cores.assign(busy.cores.begin(), busy.cores.end());
     wide.cores.push_back(4 % cores);
     wide.slot_power_w = {5.5, 0.3, 0.3, 4.5, 3.0};
     const std::vector<core::RotationRingSpec> rings2 = {wide};
-    EXPECT_EQ(analyzer.rotation_peak(rings2, 1e-3, 3),
-              analyzer.rotation_peak(rings2, 1e-3, 3, ws));
-    EXPECT_EQ(analyzer.rotation_peak(rings, 0.5e-3, 2),
-              analyzer.rotation_peak(rings, 0.5e-3, 2, ws));
-    EXPECT_EQ(analyzer.static_peak(core_power),
-              analyzer.static_peak(core_power, ws));
-    EXPECT_EQ(analyzer.schedule_peak(epochs, 1e-3, 3),
-              analyzer.schedule_peak(epochs, 1e-3, 3, ws));
+    const auto rotation_fresh = [&](const auto& r, double tau,
+                                    std::size_t samples) {
+        core::PeakWorkspace fresh;
+        return analyzer.rotation_peak(r, tau, samples, fresh);
+    };
+
+    EXPECT_EQ(static_fresh(), analyzer.static_peak(core_power, warm));
+    EXPECT_EQ(schedule_fresh(), analyzer.schedule_peak(epochs, 1e-3, 3, warm));
+    EXPECT_EQ(rotation_fresh(rings, 0.5e-3, 2),
+              analyzer.rotation_peak(rings, 0.5e-3, 2, warm));
+    // Now ring-sized: alternate ring sizes and repeat every query.
+    EXPECT_EQ(rotation_fresh(rings2, 1e-3, 3),
+              analyzer.rotation_peak(rings2, 1e-3, 3, warm));
+    EXPECT_EQ(rotation_fresh(rings, 0.5e-3, 2),
+              analyzer.rotation_peak(rings, 0.5e-3, 2, warm));
+    EXPECT_EQ(static_fresh(), analyzer.static_peak(core_power, warm));
+    EXPECT_EQ(schedule_fresh(), analyzer.schedule_peak(epochs, 1e-3, 3, warm));
 }
 
 INSTANTIATE_TEST_SUITE_P(Models, HotpathThermalEquivalence,
@@ -243,6 +250,55 @@ INSTANTIATE_TEST_SUITE_P(Models, HotpathThermalEquivalence,
                          [](const auto& info) {
                              return std::string(info.param);
                          });
+
+// --- per-core peak maps ----------------------------------------------------
+
+/// The optional core_peak_c map is read out of the state the scalar is
+/// reduced over: for both the static and the rotation query the scalar must
+/// equal the max of the map and the map-less scalar, bit for bit.
+void expect_map_matches_scalar(const campaign::StudySetup& setup) {
+    const std::size_t cores = setup.model().core_count();
+    const core::PeakTemperatureAnalyzer analyzer(setup.solver(), 45.0, 0.3);
+    std::vector<core::RotationRingSpec> rings;
+    core::idle_ring_specs(setup.chip().rings(), 0.3, rings);
+    ASSERT_GE(rings.size(), 2u);
+    rings[0].slot_power_w[0] = 6.0;
+    rings[0].slot_power_w[1] = 4.5;
+    rings[1].slot_power_w[2] = 5.0;
+    linalg::Vector static_power(cores);
+    core::scatter_static_power(rings, 0.3, static_power.data(), cores);
+
+    core::PeakWorkspace ws;
+    std::vector<double> map(cores);
+    const auto max_of = [](const std::vector<double>& v) {
+        double m = -1e300;
+        for (double x : v) m = std::max(m, x);
+        return m;
+    };
+
+    const double static_scalar = analyzer.static_peak(static_power, ws);
+    const double static_mapped =
+        analyzer.static_peak(static_power, ws, map.data());
+    EXPECT_EQ(static_mapped, max_of(map));
+    EXPECT_EQ(static_mapped, static_scalar);
+
+    const double rotation_scalar =
+        analyzer.rotation_peak(rings, 0.5e-3, 2, ws);
+    const double rotation_mapped =
+        analyzer.rotation_peak(rings, 0.5e-3, 2, ws, map.data());
+    EXPECT_EQ(rotation_mapped, max_of(map));
+    EXPECT_EQ(rotation_mapped, rotation_scalar);
+}
+
+TEST(PeakAnalyzerMap, DensePaper64CoreScalarIsMaxOfMap) {
+    expect_map_matches_scalar(
+        campaign::StudySetup::paper_64core(thermal::SolverConfig::dense()));
+}
+
+TEST(PeakAnalyzerMap, ModalPaper256CoreScalarIsMaxOfMap) {
+    expect_map_matches_scalar(
+        campaign::StudySetup::paper_256core(thermal::SolverConfig::modal()));
+}
 
 // --- cross-model workspace reuse --------------------------------------------
 

@@ -26,6 +26,7 @@ struct Fixture {
     ThermalModel model{chip.plan(), RcNetworkConfig{}};
     MatExSolver solver{model};
     PeakTemperatureAnalyzer analyzer{solver, kAmbient, kIdle};
+    hp::core::PeakWorkspace ws;
 };
 
 /// Brute force: start from ambient and march the periodic schedule with the
@@ -127,8 +128,9 @@ TEST(Algorithm1, InvalidInputsThrow) {
     EXPECT_THROW((void)f.analyzer.boundary_temperatures(
                      {Vector(16, 1.0)}, 0.0),
                  std::invalid_argument);
-    EXPECT_THROW((void)f.analyzer.schedule_peak({Vector(16, 1.0)}, 1e-3, 0),
-                 std::invalid_argument);
+    EXPECT_THROW(
+        (void)f.analyzer.schedule_peak({Vector(16, 1.0)}, 1e-3, 0, f.ws),
+        std::invalid_argument);
 }
 
 // -------------------------------------------------------------- peak temp ---
@@ -141,7 +143,7 @@ TEST_P(Algorithm1Peak, MatchesBruteForceAcrossRotationIntervals) {
     RotationRingSpec ring{{5, 6, 10, 9}, {6.5, 4.0, kIdle, kIdle}};
     const auto schedule = ring_schedule(f, ring);
 
-    const double analytic = f.analyzer.schedule_peak(schedule, tau, 8);
+    const double analytic = f.analyzer.schedule_peak(schedule, tau, 8, f.ws);
     const double brute =
         brute_peak(f, schedule, tau, periods_to_converge(tau, 4), 8);
     EXPECT_NEAR(analytic, brute, 0.02) << "tau=" << tau;
@@ -166,7 +168,8 @@ TEST(Algorithm1, RandomSchedulesMatchBruteForce) {
             schedule.push_back(p);
         }
         const double tau = 0.5e-3;
-        const double analytic = f.analyzer.schedule_peak(schedule, tau, 6);
+        const double analytic =
+            f.analyzer.schedule_peak(schedule, tau, 6, f.ws);
         const double brute = brute_peak(f, schedule, tau,
                                         periods_to_converge(tau, delta), 6);
         EXPECT_NEAR(analytic, brute, 0.05) << "trial " << trial;
@@ -180,7 +183,7 @@ TEST(Algorithm1, FasterRotationLowersPeak) {
     const auto schedule = ring_schedule(f, ring);
     double prev = 1e300;
     for (double tau : {8e-3, 4e-3, 2e-3, 1e-3, 0.5e-3, 0.25e-3}) {
-        const double peak = f.analyzer.schedule_peak(schedule, tau, 8);
+        const double peak = f.analyzer.schedule_peak(schedule, tau, 8, f.ws);
         EXPECT_LT(peak, prev) << "tau=" << tau;
         prev = peak;
     }
@@ -192,11 +195,11 @@ TEST(Algorithm1, RotationBeatsStaticPlacement) {
     Vector static_power(16, kIdle);
     static_power[5] = 6.0;
     static_power[10] = 6.0;
-    const double static_peak = f.analyzer.static_peak(static_power);
+    const double static_peak = f.analyzer.static_peak(static_power, f.ws);
 
     RotationRingSpec ring{{5, 6, 10, 9}, {6.0, kIdle, 6.0, kIdle}};
     const double rotating_peak =
-        f.analyzer.rotation_peak({ring}, 0.5e-3, 4);
+        f.analyzer.rotation_peak({ring}, 0.5e-3, 4, f.ws);
     EXPECT_LT(rotating_peak, static_peak - 5.0);
 }
 
@@ -206,9 +209,9 @@ TEST(RotationPeak, SingleRingMatchesExplicitSchedule) {
     Fixture f;
     RotationRingSpec ring{{5, 6, 10, 9}, {6.0, 5.0, kIdle, kIdle}};
     const double tau = 0.5e-3;
-    const double via_rings = f.analyzer.rotation_peak({ring}, tau, 4);
+    const double via_rings = f.analyzer.rotation_peak({ring}, tau, 4, f.ws);
     const double via_schedule =
-        f.analyzer.schedule_peak(ring_schedule(f, ring), tau, 4);
+        f.analyzer.schedule_peak(ring_schedule(f, ring), tau, 4, f.ws);
     EXPECT_NEAR(via_rings, via_schedule, 1e-6);
 }
 
@@ -228,7 +231,8 @@ TEST(RotationPeak, MultiRingIsSafeUpperBound) {
     middle.slot_power_w[3] = 6.0;
 
     const double tau = 0.5e-3;
-    const double bound = f.analyzer.rotation_peak({inner, middle}, tau, 4);
+    const double bound =
+        f.analyzer.rotation_peak({inner, middle}, tau, 4, f.ws);
 
     // Build the exact joint schedule over lcm(4,8) = 8 epochs.
     std::vector<Vector> joint;
@@ -244,22 +248,23 @@ TEST(RotationPeak, MultiRingIsSafeUpperBound) {
         }
         joint.push_back(p);
     }
-    const double exact = f.analyzer.schedule_peak(joint, tau, 4);
+    const double exact = f.analyzer.schedule_peak(joint, tau, 4, f.ws);
     EXPECT_GE(bound, exact - 1e-9);   // never optimistic
     EXPECT_LT(bound, exact + 1.5);    // and reasonably tight
 }
 
 TEST(RotationPeak, EmptyRingsGiveIdleBaseline) {
     Fixture f;
-    const double peak = f.analyzer.rotation_peak({}, 0.5e-3, 2);
-    const double idle_peak = f.analyzer.static_peak(Vector(16, kIdle));
+    const double peak = f.analyzer.rotation_peak({}, 0.5e-3, 2, f.ws);
+    const double idle_peak =
+        f.analyzer.static_peak(Vector(16, kIdle), f.ws);
     EXPECT_NEAR(peak, idle_peak, 1e-9);
 }
 
 TEST(RotationPeak, MismatchedRingSpecThrows) {
     Fixture f;
     RotationRingSpec bad{{5, 6}, {1.0}};
-    EXPECT_THROW((void)f.analyzer.rotation_peak({bad}, 0.5e-3, 2),
+    EXPECT_THROW((void)f.analyzer.rotation_peak({bad}, 0.5e-3, 2, f.ws),
                  std::invalid_argument);
 }
 
@@ -269,9 +274,9 @@ TEST(RotationPeak, MoreThreadsRaisePeak) {
     RotationRingSpec two{{5, 6, 10, 9}, {6.0, 6.0, kIdle, kIdle}};
     RotationRingSpec four{{5, 6, 10, 9}, {6.0, 6.0, 6.0, 6.0}};
     const double tau = 0.5e-3;
-    const double p1 = f.analyzer.rotation_peak({one}, tau, 4);
-    const double p2 = f.analyzer.rotation_peak({two}, tau, 4);
-    const double p4 = f.analyzer.rotation_peak({four}, tau, 4);
+    const double p1 = f.analyzer.rotation_peak({one}, tau, 4, f.ws);
+    const double p2 = f.analyzer.rotation_peak({two}, tau, 4, f.ws);
+    const double p4 = f.analyzer.rotation_peak({four}, tau, 4, f.ws);
     EXPECT_LT(p1, p2);
     EXPECT_LT(p2, p4);
 }

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "arch/manycore.hpp"
 #include "core/peak_temperature.hpp"
 #include "core/rotation_planner.hpp"
+#include "linalg/simd.hpp"
 #include "perf/interval_model.hpp"
 #include "thermal/matex.hpp"
 #include "thermal/rc_network.hpp"
@@ -117,6 +121,58 @@ TEST(Planner, PredictedPeakMonotoneInPower) {
     const double low = f.planner.predicted_peak_c({hot(3.0)}, {0}, true, 0.5e-3);
     const double high = f.planner.predicted_peak_c({hot(6.0)}, {0}, true, 0.5e-3);
     EXPECT_GT(high, low);
+}
+
+// Golden plans: ring_of_thread, rotation_on, tau_s and the exact bits of
+// predicted_peak_c for three fixed thread sets, recorded before the planner
+// moved onto per-plan scratch. The scalar SIMD tier is pinned because the
+// AVX2 tier reassociates reductions; these values hold on every host.
+struct GoldenPlan {
+    std::vector<std::size_t> ring_of_thread;
+    bool rotation_on;
+    double tau_s;
+    double predicted_peak_c;
+    bool thermally_safe;
+};
+
+void expect_plan(const RotationPlan& plan, const GoldenPlan& golden) {
+    EXPECT_EQ(plan.ring_of_thread, golden.ring_of_thread);
+    EXPECT_EQ(plan.rotation_on, golden.rotation_on);
+    EXPECT_EQ(plan.tau_s, golden.tau_s);
+    EXPECT_EQ(plan.predicted_peak_c, golden.predicted_peak_c);
+    EXPECT_EQ(plan.thermally_safe, golden.thermally_safe);
+}
+
+TEST(Planner, GoldenPlansAreBitIdentical) {
+    hp::linalg::simd::force_tier_for_testing(hp::linalg::simd::Tier::kScalar);
+    Fixture f;
+    struct Case {
+        std::vector<ThreadEstimate> threads;
+        GoldenPlan greedy, exhaustive;
+    };
+    const std::vector<Case> cases = {
+        {{cool(), cool()},
+         {{0, 0}, false, 0x1.0624dd2f1a9fcp-8, 0x1.c5c8b97be5ffp+5, true},
+         {{0, 0}, false, 0x1.0624dd2f1a9fcp-13, 0x1.c5c8b97be5ffp+5, true}},
+        {{hot(6.5), hot(5.0), cool(), cool()},
+         {{0, 0, 1, 1}, true, 0x1.0624dd2f1a9fcp-10, 0x1.13581094a3f3dp+6,
+          true},
+         {{1, 0, 0, 0}, true, 0x1.0624dd2f1a9fcp-8, 0x1.0b6115a1ada62p+6,
+          true}},
+        {{hot(8.0), hot(8.0), hot(7.5), hot(7.0), cool(), hot(8.0)},
+         {{2, 1, 1, 2, 2, 2}, true, 0x1.0624dd2f1a9fcp-13,
+          0x1.6bf749a21bc89p+6, false},
+         {{0, 2, 1, 1, 2, 1}, true, 0x1.0624dd2f1a9fcp-13,
+          0x1.2602d8f5fc6c5p+6, false}},
+    };
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+        SCOPED_TRACE("thread set " + std::to_string(c));
+        expect_plan(f.planner.plan_greedy(cases[c].threads, kDtm),
+                    cases[c].greedy);
+        expect_plan(f.planner.plan_exhaustive(cases[c].threads, kDtm),
+                    cases[c].exhaustive);
+    }
+    hp::linalg::simd::clear_forced_tier_for_testing();
 }
 
 }  // namespace

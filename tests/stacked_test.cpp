@@ -156,17 +156,18 @@ TEST(Stacked3d, RotationAveragesAcrossLayers) {
     // than pinned on the top layer.
     const auto& b = bench3d();
     hp::core::PeakTemperatureAnalyzer analyzer(b.solver, kAmbient, 0.3);
+    hp::core::PeakWorkspace ws;
 
     const auto& ring = b.chip.rings().front();
     hp::core::RotationRingSpec spec;
     spec.cores = ring.cores;
     spec.slot_power_w.assign(ring.cores.size(), 0.3);
     spec.slot_power_w[0] = 6.0;
-    const double rotating = analyzer.rotation_peak({spec}, 0.5e-3, 4);
+    const double rotating = analyzer.rotation_peak({spec}, 0.5e-3, 4, ws);
 
     Vector pinned(32, 0.3);
     pinned[b.chip.plan().index_of(1, 1, 1)] = 6.0;  // top-layer centre
-    const double static_peak = analyzer.static_peak(pinned);
+    const double static_peak = analyzer.static_peak(pinned, ws);
     EXPECT_LT(rotating, static_peak - 5.0);
 }
 
