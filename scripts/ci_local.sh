@@ -147,9 +147,10 @@ if [[ -d "$MODAL_DIR" ]]; then
   note "modal solver: full suite under HOTPOTATO_SOLVER=modal"
   HOTPOTATO_SOLVER=modal \
     ctest --test-dir "$MODAL_DIR" --output-on-failure -j "$JOBS"
-  # The modal hot path rides the batched SpMM/matmat kernels, so the forced
-  # modal suite also runs under each pinned dispatch tier (scalar guards the
-  # portable fallback, avx2 the vectorised lane-major kernels).
+  # The forced modal suite also runs under each pinned dispatch tier, which
+  # checks the matvec/matmat and element-wise kernels the modal analyzer and
+  # solver still use (scalar guards the portable fallback, avx2 the
+  # vectorised kernels).
   for tier in scalar avx2; do
     note "modal solver: full suite under HOTPOTATO_SOLVER=modal HOTPOTATO_DISPATCH=$tier"
     HOTPOTATO_SOLVER=modal HOTPOTATO_DISPATCH="$tier" \

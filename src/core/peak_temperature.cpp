@@ -58,8 +58,11 @@ PeakTemperatureAnalyzer::PeakTemperatureAnalyzer(
     for (std::size_t i = 0; i < cores; ++i)
         for (std::size_t k = 0; k < modes_; ++k)
             v_cores_(i, k) = solver.mode_shapes()(i, k);
-    ambient_offset_ =
-        solver.conductance_solve(ambient_c * model.ambient_conductance());
+    // One scratch workspace serves every design-time solve below.
+    thermal::ThermalWorkspace scratch;
+    ambient_offset_ = linalg::Vector(model.node_count());
+    solver.conductance_solve_into(ambient_c * model.ambient_conductance(),
+                                  scratch, ambient_offset_);
 
     // Truncated backends additionally need the dropped-cluster targets
     // c_f(i) = (B^{-1}P_f)(i) - Σ_k V(i,k)·(β·P_f)(k) at run time. Both terms
@@ -76,7 +79,6 @@ PeakTemperatureAnalyzer::PeakTemperatureAnalyzer(
         // matmat over β^T's rows (RHS-major, one RHS per node j).
         linalg::kernel_matmat(v_cores_.data(), cores, modes_, beta_t_.data(),
                               big_n, &quasi_static_map_(0, 0));
-        thermal::ThermalWorkspace scratch;
         constexpr std::size_t kChunk = 64;
         std::vector<double> rhs(kChunk * big_n), sol(kChunk * big_n);
         for (std::size_t base = 0; base < cores; base += kChunk) {

@@ -334,13 +334,4 @@ void BandedCholesky::solve_batch_into(const double* bs, std::size_t nrhs,
     }
 }
 
-Vector BandedCholesky::solve(const Vector& b) const {
-    if (b.size() != n_)
-        throw std::invalid_argument("BandedCholesky::solve: size mismatch");
-    Vector out(n_);
-    std::vector<double> scratch(n_);
-    solve_into(b.data(), out.data(), scratch.data());
-    return out;
-}
-
 }  // namespace hp::linalg

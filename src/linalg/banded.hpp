@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "linalg/matrix.hpp"
-#include "linalg/vector.hpp"
 
 namespace hp::linalg {
 
@@ -65,9 +64,6 @@ public:
     /// @p scratch. No allocations.
     void solve_batch_into(const double* bs, std::size_t nrhs, double* xs,
                           double* scratch) const;
-
-    /// Allocating convenience solve.
-    Vector solve(const Vector& b) const;
 
 private:
     std::size_t n_ = 0;   ///< total rows

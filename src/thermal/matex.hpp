@@ -59,7 +59,10 @@ public:
     const linalg::Matrix& eigenvectors_inverse() const { return v_inv_; }
 
     // Steady state delegates to the model's shared LU (bit-identical to the
-    // historical direct calls on ThermalModel).
+    // historical direct calls on ThermalModel). The value forms here are
+    // independent dense implementations, not the base-class `_into`
+    // wrappers: hotpath_equivalence_test pins the `_into` kernels to them.
+    // The exponential and transient batches are the base-class loops.
     linalg::Vector steady_state(const linalg::Vector& node_power,
                                 double ambient_celsius) const override;
     void steady_state_into(const linalg::Vector& node_power,
@@ -82,19 +85,11 @@ public:
     /// workspace, decay through its memoised e^{λ·dt} table, projection back
     /// into @p out (resized on first use). Bit-identical to
     /// apply_exponential. @p out may alias @p x; neither may be a workspace
-    /// buffer other than workspace.offset for @p x (the transient path).
+    /// buffer other than workspace.offset (the transient path) or a stage
+    /// buffer.
     void apply_exponential_into(const linalg::Vector& x, double dt,
                                 ThermalWorkspace& workspace,
                                 linalg::Vector& out) const override;
-
-    /// Batched apply_exponential_into: applies e^{C·dt} to @p nrhs RHS-major
-    /// vectors (RHS r occupies [r·N, (r+1)·N) of @p xs and @p outs) through
-    /// one pair of multi-RHS projections. Each RHS keeps the single-vector
-    /// accumulation order, so output r is bit-identical to
-    /// apply_exponential_into on input r. @p outs may alias @p xs.
-    void apply_exponential_batch_into(const double* xs, std::size_t nrhs,
-                                      double dt, ThermalWorkspace& workspace,
-                                      double* outs) const override;
 
     /// Materialises the full matrix e^{C·dt} (O(N^3); used by caches and
     /// tests, not in per-epoch simulation).
@@ -109,23 +104,12 @@ public:
     /// transient without allocations — the simulator's per-micro-step kernel.
     /// Bit-identical to transient. @p out may alias @p t_init (the usual
     /// temps → temps update); it must not alias @p node_power or a workspace
-    /// buffer.
+    /// buffer other than a stage buffer.
     void transient_into(const linalg::Vector& t_init,
                         const linalg::Vector& node_power,
                         double ambient_celsius, double dt,
                         ThermalWorkspace& workspace,
                         linalg::Vector& out) const override;
-
-    /// Batched transient_into from one shared @p t_init across @p nrhs
-    /// RHS-major node-power vectors: batched steady solve, offsets built in
-    /// place, one batched exponential, steady added back. Output r is
-    /// bit-identical to transient_into with power vector r. @p outs must not
-    /// alias @p node_powers.
-    void transient_batch_into(const linalg::Vector& t_init,
-                              const double* node_powers, std::size_t nrhs,
-                              double ambient_celsius, double dt,
-                              ThermalWorkspace& workspace,
-                              double* outs) const override;
 
     /// Largest core temperature reached anywhere in (0, dt] while holding
     /// @p node_power, conservatively estimated by sampling @p samples points

@@ -107,32 +107,20 @@ ThermalModel ThermalModel::replica() const {
 }
 
 std::uint64_t ThermalModel::compute_signature() const {
-    // FNV-1a over the exact bit patterns of the model's defining data, so
+    // Hashes the exact bit patterns of the model's defining data, so
     // equality of signatures means equality of the physics (and therefore of
     // every derived solve), independent of object identity.
-    std::uint64_t h = 1469598103934665603ull;
-    const auto mix = [&h](std::uint64_t word) {
-        for (int b = 0; b < 8; ++b) {
-            h ^= (word >> (8 * b)) & 0xffu;
-            h *= 1099511628211ull;
-        }
-    };
-    const auto mix_double = [&](double v) {
-        std::uint64_t bits;
-        static_assert(sizeof(bits) == sizeof(v));
-        __builtin_memcpy(&bits, &v, sizeof(bits));
-        mix(bits);
-    };
-    mix(static_cast<std::uint64_t>(core_count_));
-    mix(static_cast<std::uint64_t>(capacitance_.size()));
+    detail::SignatureHasher h;
+    h.word(core_count_);
+    h.word(capacitance_.size());
     for (std::size_t i = 0; i < capacitance_.size(); ++i)
-        mix_double(capacitance_[i]);
+        h.real(capacitance_[i]);
     for (std::size_t i = 0; i < conductance_.rows(); ++i)
         for (std::size_t j = 0; j < conductance_.cols(); ++j)
-            mix_double(conductance_(i, j));
+            h.real(conductance_(i, j));
     for (std::size_t i = 0; i < ambient_conductance_.size(); ++i)
-        mix_double(ambient_conductance_[i]);
-    return h;
+        h.real(ambient_conductance_[i]);
+    return h.value();
 }
 
 void ThermalModel::validate() const {

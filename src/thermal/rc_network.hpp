@@ -1,5 +1,6 @@
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -11,6 +12,36 @@
 #include "thermal/workspace.hpp"
 
 namespace hp::thermal {
+
+namespace detail {
+
+/// Byte-wise 64-bit hasher behind ThermalModel::signature() and every
+/// backend's backend_signature(): per byte, xor then multiply by the FNV
+/// prime. The seed 1469598103934665603 is *not* the FNV-1a offset basis
+/// (14695981039346656037 has one more digit), so this is not FNV-1a and does
+/// not match campaign::fnv1a64. It stays as it is because every model and
+/// backend signature — and every cached peak key built on one — derives
+/// from it; a new seed would re-key them all.
+class SignatureHasher {
+public:
+    void byte(unsigned char b) {
+        h_ ^= b;
+        h_ *= 1099511628211ull;
+    }
+    /// The eight bytes of @p word, least significant first.
+    void word(std::uint64_t word) {
+        for (int b = 0; b < 8; ++b)
+            byte(static_cast<unsigned char>((word >> (8 * b)) & 0xffu));
+    }
+    /// The bit pattern of @p v.
+    void real(double v) { word(std::bit_cast<std::uint64_t>(v)); }
+    std::uint64_t value() const { return h_; }
+
+private:
+    std::uint64_t h_ = 1469598103934665603ull;
+};
+
+}  // namespace detail
 
 /// Physical parameters of the layered RC network generated for a grid
 /// floorplan. The defaults are calibrated so that a 14 nm, 0.81 mm² core at
@@ -123,12 +154,12 @@ public:
     /// Cached LU decomposition of B, shared with the MatEx solver.
     const linalg::LuDecomposition& conductance_lu() const { return *b_lu_; }
 
-    /// Content hash (FNV-1a over the bit patterns of A, B, G and the core
-    /// count), computed once at construction. Two models with identical
-    /// matrices share a signature even when they are distinct objects — the
-    /// solver/simulator misuse guard compares signatures, so a solver built
-    /// for an equal model is accepted while one built for a different
-    /// floorplan or parameterisation is rejected.
+    /// Content hash (detail::SignatureHasher over the bit patterns of A, B,
+    /// G and the core count), computed once at construction. Two models
+    /// with identical matrices share a signature even when they are
+    /// distinct objects — the solver/simulator misuse guard compares
+    /// signatures, so a solver built for an equal model is accepted while
+    /// one built for a different floorplan or parameterisation is rejected.
     std::uint64_t signature() const { return signature_; }
 
     /// Deep copy that shares nothing with this model: matrices are copied

@@ -83,10 +83,19 @@ public:
     /// 0 when nothing is dropped.
     virtual double cluster_pole() const = 0;
 
+    // Each operation below has a single-RHS `_into` kernel that every
+    // backend implements. The value forms and the `_batch_into` forms
+    // default to that kernel: a value form runs it on a fresh workspace, a
+    // batch loops it per RHS through the workspace's stage buffers
+    // (bit-preserving copies), so output r of a default batch *is* the
+    // single call on input r. Backends override a default only with an
+    // independent implementation (the dense value forms, the lane-parallel
+    // steady and conductance batches).
+
     // ---- Steady state (exact in every backend) ------------------------
     /// T = B^{-1}(P + T_amb·G); @p node_power is a full node vector.
     virtual linalg::Vector steady_state(const linalg::Vector& node_power,
-                                        double ambient_celsius) const = 0;
+                                        double ambient_celsius) const;
     virtual void steady_state_into(const linalg::Vector& node_power,
                                    double ambient_celsius,
                                    ThermalWorkspace& workspace,
@@ -99,40 +108,26 @@ public:
                                          double* out) const = 0;
     /// Raw conductance solve B·x = rhs (no ambient term) — the analyzer's
     /// design-time building block (β, ambient offset, correction fields).
-    virtual linalg::Vector conductance_solve(const linalg::Vector& rhs)
-        const = 0;
+    virtual linalg::Vector conductance_solve(const linalg::Vector& rhs) const;
     virtual void conductance_solve_into(const linalg::Vector& rhs,
                                         ThermalWorkspace& workspace,
                                         linalg::Vector& out) const = 0;
     /// RHS-major batched conductance solve; output r bit-identical to
-    /// conductance_solve_into on RHS r. The base default loops the single
-    /// solve through workspace staging (bit-preserving copies); backends
-    /// with a lane-parallel factorisation (the modal backend's banded
-    /// Cholesky) override it — this is what lets the analyzer's
-    /// dropped-cluster correction solve all δ epoch fields in one sweep.
+    /// conductance_solve_into on RHS r. The modal backend overrides the
+    /// default loop with its lane-parallel banded Cholesky — this is what
+    /// lets the analyzer's dropped-cluster correction solve all δ epoch
+    /// fields in one sweep.
     virtual void conductance_solve_batch_into(const double* rhs,
                                               std::size_t nrhs,
                                               ThermalWorkspace& workspace,
-                                              double* out) const {
-        const std::size_t n = node_count();
-        workspace.resize(n);
-        for (std::size_t r = 0; r < nrhs; ++r) {
-            const double* src = rhs + r * n;
-            double* stage = workspace.rhs.data();
-            for (std::size_t i = 0; i < n; ++i) stage[i] = src[i];
-            conductance_solve_into(workspace.rhs, workspace, workspace.steady);
-            const double* sol = workspace.steady.data();
-            double* o = out + r * n;
-            for (std::size_t i = 0; i < n; ++i) o[i] = sol[i];
-        }
-    }
+                                              double* out) const;
 
     // ---- Transients ----------------------------------------------------
     /// Applies e^{C·dt} to @p x.
     virtual linalg::Vector apply_exponential(const linalg::Vector& x,
-                                             double dt) const = 0;
+                                             double dt) const;
     /// @p out may alias @p x; neither may be a workspace buffer other than
-    /// workspace.offset for @p x (the transient path).
+    /// workspace.offset (the transient path) or a stage buffer.
     virtual void apply_exponential_into(const linalg::Vector& x, double dt,
                                         ThermalWorkspace& workspace,
                                         linalg::Vector& out) const = 0;
@@ -140,7 +135,7 @@ public:
     virtual void apply_exponential_batch_into(const double* xs,
                                               std::size_t nrhs, double dt,
                                               ThermalWorkspace& workspace,
-                                              double* outs) const = 0;
+                                              double* outs) const;
     /// Materialises the full matrix e^{C·dt} (O(N^3); caches/tests only).
     virtual linalg::Matrix exponential(double dt) const = 0;
 
@@ -148,9 +143,10 @@ public:
     virtual linalg::Vector transient(const linalg::Vector& t_init,
                                      const linalg::Vector& node_power,
                                      double ambient_celsius,
-                                     double dt) const = 0;
+                                     double dt) const;
     /// The simulator's per-micro-step kernel. @p out may alias @p t_init; it
-    /// must not alias @p node_power or a workspace buffer.
+    /// must not alias @p node_power or a workspace buffer other than a stage
+    /// buffer.
     virtual void transient_into(const linalg::Vector& t_init,
                                 const linalg::Vector& node_power,
                                 double ambient_celsius, double dt,
@@ -163,7 +159,7 @@ public:
                                       std::size_t nrhs,
                                       double ambient_celsius, double dt,
                                       ThermalWorkspace& workspace,
-                                      double* outs) const = 0;
+                                      double* outs) const;
 
     // ---- Peaks ---------------------------------------------------------
     /// Largest core temperature reached in (0, dt], sampled conservatively.
@@ -238,31 +234,19 @@ struct SolverConfig {
 
 namespace detail {
 
-/// Shared backend_signature() recipe: FNV-1a over the backend name, retained
-/// mode count, tolerance bit pattern and the model signature. Centralised so
-/// every backend keys prediction caches the same way.
+/// Shared backend_signature() recipe: the backend name, retained mode count,
+/// tolerance bit pattern and model signature through SignatureHasher.
+/// Centralised so every backend keys prediction caches the same way.
 inline std::uint64_t backend_signature_hash(const char* name,
                                             std::size_t mode_count,
                                             double tolerance_c,
                                             std::uint64_t model_signature) {
-    std::uint64_t h = 1469598103934665603ull;
-    const auto mix = [&h](std::uint64_t word) {
-        for (int b = 0; b < 8; ++b) {
-            h ^= (word >> (8 * b)) & 0xffu;
-            h *= 1099511628211ull;
-        }
-    };
-    for (const char* p = name; *p; ++p) {
-        h ^= static_cast<unsigned char>(*p);
-        h *= 1099511628211ull;
-    }
-    mix(static_cast<std::uint64_t>(mode_count));
-    std::uint64_t tol_bits;
-    static_assert(sizeof(tol_bits) == sizeof(tolerance_c));
-    __builtin_memcpy(&tol_bits, &tolerance_c, sizeof(tol_bits));
-    mix(tol_bits);
-    mix(model_signature);
-    return h;
+    SignatureHasher h;
+    for (const char* p = name; *p; ++p) h.byte(static_cast<unsigned char>(*p));
+    h.word(mode_count);
+    h.real(tolerance_c);
+    h.word(model_signature);
+    return h.value();
 }
 
 }  // namespace detail

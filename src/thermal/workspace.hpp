@@ -60,14 +60,11 @@ public:
           taylor_a(mr),
           taylor_b(mr),
           mr_(mr),
+          stage_in_(mr),
+          stage_out_(mr),
           batch_rhs_(mr),
           batch_sol_(mr),
-          batch_steady_(mr),
-          batch_modal_(mr),
           batch_scratch_(mr),
-          batch_taylor_r_(mr),
-          batch_taylor_t1_(mr),
-          batch_taylor_t2_(mr),
           ambient_(mr),
           exp_values_(mr) {}
 
@@ -100,6 +97,13 @@ public:
     linalg::Vector taylor_a;        ///< sparse-propagator remainder term
     linalg::Vector taylor_b;        ///< sparse-propagator matvec ping-pong
 
+    /// Input/output staging of TransientSolver's default batch loops, sized
+    /// to @p n on first use (never by resize(), so a workspace that never
+    /// batches allocates nothing for them). No single-RHS kernel reads or
+    /// writes them, so they may be passed as any argument of an `_into` call.
+    linalg::Vector& stage_in(std::size_t n) { return sized(stage_in_, n); }
+    linalg::Vector& stage_out(std::size_t n) { return sized(stage_out_, n); }
+
     /// Memoised T_amb·G for the ambient-coupling vector @p g. Recomputed only
     /// when @p g (by address) or @p ambient_celsius changes.
     const linalg::Vector& ambient_rhs(const linalg::Vector& g,
@@ -126,25 +130,9 @@ public:
     std::pmr::vector<double>& batch_sol(std::size_t n) {
         return grown(batch_sol_, n);
     }
-    std::pmr::vector<double>& batch_steady(std::size_t n) {
-        return grown(batch_steady_, n);
-    }
-    std::pmr::vector<double>& batch_modal(std::size_t n) {
-        return grown(batch_modal_, n);
-    }
     /// Lane-major scratch for the batched banded solve (size()·nrhs lanes).
     std::pmr::vector<double>& batch_scratch(std::size_t n) {
         return grown(batch_scratch_, n);
-    }
-    // Node-major ping-pong blocks of the batched sparse Taylor propagator.
-    std::pmr::vector<double>& batch_taylor_r(std::size_t n) {
-        return grown(batch_taylor_r_, n);
-    }
-    std::pmr::vector<double>& batch_taylor_t1(std::size_t n) {
-        return grown(batch_taylor_t1_, n);
-    }
-    std::pmr::vector<double>& batch_taylor_t2(std::size_t n) {
-        return grown(batch_taylor_t2_, n);
     }
 
     /// Distinct-dt slots the exp ladder keeps live before recycling. Sized
@@ -203,6 +191,10 @@ public:
     }
 
 private:
+    static linalg::Vector& sized(linalg::Vector& v, std::size_t n) {
+        if (v.size() != n) v.assign(n);
+        return v;
+    }
     static std::pmr::vector<double>& grown(std::pmr::vector<double>& v,
                                            std::size_t n) {
         if (v.size() < n) v.resize(n);
@@ -211,14 +203,11 @@ private:
 
     std::size_t nodes_ = 0;
     std::pmr::memory_resource* mr_ = std::pmr::get_default_resource();
+    linalg::Vector stage_in_;
+    linalg::Vector stage_out_;
     std::pmr::vector<double> batch_rhs_;
     std::pmr::vector<double> batch_sol_;
-    std::pmr::vector<double> batch_steady_;
-    std::pmr::vector<double> batch_modal_;
     std::pmr::vector<double> batch_scratch_;
-    std::pmr::vector<double> batch_taylor_r_;
-    std::pmr::vector<double> batch_taylor_t1_;
-    std::pmr::vector<double> batch_taylor_t2_;
     linalg::Vector ambient_;
     const void* ambient_key_ = nullptr;
     double ambient_c_ = 0.0;

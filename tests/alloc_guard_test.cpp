@@ -77,17 +77,24 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
     return ::operator new(size, align);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+// Every replacement delete frees through one out-of-line helper: GCC's
+// -Wmismatched-new-delete flags a std::free it can see paired with the
+// replaced operator new, although both sides are malloc/free here.
+namespace {
+__attribute__((noinline)) void release(void* p) noexcept { std::free(p); }
+}  // namespace
+
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, std::align_val_t) noexcept { release(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { release(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-    std::free(p);
+    release(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-    std::free(p);
+    release(p);
 }
 
 namespace {
@@ -398,7 +405,8 @@ TEST(AllocGuard, WarmedModalBatchKernelsAreAllocationFree) {
     thermal::ThermalWorkspace ws;
 
     // Warm every batch staging buffer and both exp-ladder rungs (the
-    // micro-step Taylor horizon and the retained-mode closed form).
+    // micro-step Taylor horizon and the retained-mode closed form). The
+    // exponential and transient batches are the base-class per-RHS loops.
     modal.steady_state_batch_into(powers.data(), nrhs, 45.0, ws, batch.data());
     modal.conductance_solve_batch_into(powers.data(), nrhs, ws, batch.data());
     modal.apply_exponential_batch_into(powers.data(), nrhs, 1e-4, ws,

@@ -11,10 +11,10 @@
 //
 // Coverage: the element-wise dispatch kernels against reference loops,
 // kernel_matmat vs looped kernel_matvec, LU solve_batch_into vs looped
-// solve_into, the thermal batch kernels (steady_state_batch_into,
-// apply_exponential_batch_into including the documented outs==xs aliasing,
-// transient_batch_into), and the analyzer slates (rotation_peak_tau_batch,
-// static_peak_batch).
+// solve_into, the thermal batch kernels (steady_state_batch_into and the
+// base-class loops apply_exponential_batch_into, including the documented
+// outs==xs aliasing, and transient_batch_into), and the analyzer slates
+// (rotation_peak_tau_batch, static_peak_batch).
 
 #include <gtest/gtest.h>
 

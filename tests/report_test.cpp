@@ -1,18 +1,12 @@
-#include <algorithm>
-#include <sstream>
-
 #include <gtest/gtest.h>
 
 #include "campaign/campaign.hpp"
 #include "campaign/study_setup.hpp"
 #include "core/hotpotato.hpp"
-#include "report/comparison.hpp"
 #include "sched/pcgov.hpp"
 #include "workload/benchmark.hpp"
 
 namespace {
-
-using hp::report::RunRecord;
 
 const hp::campaign::StudySetup& setup() {
     static const hp::campaign::StudySetup s =
@@ -38,60 +32,26 @@ hp::campaign::CampaignSpec make_spec() {
     return spec;
 }
 
-std::vector<RunRecord> run_records() {
+TEST(Report, RunsEveryCombination) {
     hp::campaign::CampaignOptions options;
     options.jobs = 1;
-    return hp::report::collect_records(
-        hp::campaign::run_campaign(make_spec(), options));
-}
-
-TEST(Report, RunsEveryCombination) {
-    const auto records = run_records();
+    const auto records =
+        hp::campaign::run_campaign(make_spec(), options).records;
     ASSERT_EQ(records.size(), 4u);  // 2 schedulers x 2 workloads
-    EXPECT_EQ(records[0].workload, "bs2");
-    EXPECT_EQ(records[0].scheduler, "HotPotato");
-    EXPECT_EQ(records[1].scheduler, "PCGov");
-    EXPECT_EQ(records[2].workload, "mix");
-    for (const RunRecord& r : records) {
+    EXPECT_EQ(records[0].key.workload, "bs2");
+    EXPECT_EQ(records[0].key.scheduler, "HotPotato");
+    EXPECT_EQ(records[1].key.scheduler, "PCGov");
+    EXPECT_EQ(records[2].key.workload, "mix");
+    for (const hp::campaign::RunRecord& r : records) {
+        EXPECT_FALSE(r.failed) << r.error;
         EXPECT_TRUE(r.result.all_finished);
         EXPECT_GT(r.result.makespan_s, 0.0);
     }
 }
 
-TEST(Report, MarkdownHasHeaderAndAllRows) {
-    const auto records = run_records();
-    const std::string md = hp::report::to_markdown(records);
-    EXPECT_NE(md.find("| workload | scheduler |"), std::string::npos);
-    EXPECT_NE(md.find("HotPotato"), std::string::npos);
-    EXPECT_NE(md.find("PCGov"), std::string::npos);
-    // Header + separator + 4 rows.
-    EXPECT_EQ(std::count(md.begin(), md.end(), '\n'), 6);
-}
-
-TEST(Report, CsvRoundTripStructure) {
-    const auto records = run_records();
-    std::ostringstream out;
-    hp::report::write_csv(out, records);
-    const std::string csv = out.str();
-    EXPECT_NE(csv.find("workload,scheduler,makespan_s"), std::string::npos);
-    EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'),
-              static_cast<long>(records.size()) + 1);
-}
-
 TEST(Report, NullFactoryRejected) {
     hp::campaign::CampaignSpec spec(setup(), hp::sim::SimConfig{});
     EXPECT_THROW(spec.add_scheduler("bad", nullptr), std::invalid_argument);
-}
-
-TEST(Report, CollectRecordsSurfacesRunFailures) {
-    hp::campaign::CampaignResult result;
-    hp::campaign::RunRecord bad;
-    bad.key.scheduler = "S";
-    bad.key.workload = "W";
-    bad.failed = true;
-    bad.error = "boom";
-    result.records.push_back(bad);
-    EXPECT_THROW(hp::report::collect_records(result), std::runtime_error);
 }
 
 }  // namespace

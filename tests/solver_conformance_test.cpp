@@ -202,6 +202,11 @@ TEST_P(SolverConformance, IntoCallsMatchAllocatingCalls) {
     for (std::size_t i = 0; i < model.node_count(); ++i)
         EXPECT_EQ(out[i], steady[i]) << i;
 
+    const Vector solved = solver->conductance_solve(power);
+    solver->conductance_solve_into(power, ws, out);
+    for (std::size_t i = 0; i < model.node_count(); ++i)
+        EXPECT_EQ(out[i], solved[i]) << i;
+
     for (double dt : {1e-4, 1.0}) {  // both modal regimes (Taylor / kept-K)
         const Vector applied = solver->apply_exponential(t_init, dt);
         solver->apply_exponential_into(t_init, dt, ws, out);
@@ -339,10 +344,10 @@ TEST(ModalBackend, ExactPeakAgreesWithDenseWithinBound) {
     EXPECT_GE(approx.temperature_c, 45.0);
 }
 
-// Batched modal propagation must be bit-identical (not merely close) to the
-// single-RHS path on every right-hand side, in BOTH horizon regimes: the
-// substepped sparse Taylor ladder below tau_switch and the retained-mode
-// closed form above it. rig64 has real truncation (kept < total), so both
+// Batched modal propagation (the base-class per-RHS loop) must be
+// bit-identical (not merely close) to the single-RHS path on every
+// right-hand side, in BOTH horizon regimes: the substepped sparse Taylor
+// ladder below tau_switch and the retained-mode closed form above it. rig64 has real truncation (kept < total), so both
 // code paths and the truncated-tail handling are exercised; rig16 keeps all
 // modes and would silently skip the Taylor branch.
 TEST(ModalBackend, BatchPropagationBitIdenticalBothHorizons) {
@@ -378,8 +383,9 @@ TEST(ModalBackend, BatchPropagationBitIdenticalBothHorizons) {
                         << " dt=" << dt << " i=" << i;
             }
 
-            // transient_batch_into composes steady solve + offset +
-            // exponential + restore; the whole chain must stay exact.
+            // transient_batch_into loops the whole transient_into chain
+            // (steady solve + offset + exponential + restore) per RHS; the
+            // result must stay exact.
             std::vector<double> tb(nrhs * n, -1.0);
             modal.transient_batch_into(t_init, xs.data(), nrhs, 45.0, dt, wsb,
                                        tb.data());
@@ -450,6 +456,21 @@ TEST(PredictionCacheKeys, BackendSignaturesNeverAlias) {
     const auto dense_big =
         hp::thermal::make_solver(big, SolverConfig::dense());
     EXPECT_NE(dense->backend_signature(), dense_big->backend_signature());
+}
+
+// The model and backend signatures key every prediction cache, server cache
+// and campaign journal, so their recipe (hasher seed included) must not
+// drift: these values were recorded before the model and backend hashers
+// were folded into one detail::SignatureHasher.
+TEST(PredictionCacheKeys, SignaturesPinnedToRecordedValues) {
+    const StudySetup setup = StudySetup::paper_16core();
+    const ThermalModel& model = setup.model();
+    EXPECT_EQ(model.signature(), 13081826762134501253ull);
+    const MatExSolver dense(model);
+    EXPECT_EQ(dense.backend_signature(), 6027109836005834461ull);
+    const hp::thermal::TruncatedModalSolver modal(model,
+                                                  SolverConfig::modal());
+    EXPECT_EQ(modal.backend_signature(), 16411823356515187781ull);
 }
 
 TEST(PredictionCacheKeys, TaggedKeysMissAcrossBackends) {
